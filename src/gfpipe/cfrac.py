@@ -12,6 +12,10 @@ A missing tail of lam (or of s) means the fraction terminates there: all
 further partial numerators are zero, so the value is a rational function
 and can be expanded to any precision.
 
+Evaluation to a series runs one O(prec * depth) kernel, the Stieltjes
+tableau (weighted Motzkin paths); an S-fraction gets there through its
+even contraction.
+
 The module also provides the two-sequence triangle construction (partial
 numerators r_k x + s_k x y, with y carried by the parameter r), and the
 pairing between fractions with constant tails (b0; c, c, ...; mu, mu, ...)
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import DegenerateCfrac, InsufficientDepth, NonUnitConstantTerm, PatternMismatch
-from .ratfun import ZERO, R, FieldElem, fe
+from .ratfun import ONE, ZERO, R, FieldElem, fe
 from .series import Series, divide
 
 
@@ -46,8 +50,37 @@ class SFraction:
         object.__setattr__(self, "s", tuple(fe(v) for v in s))
 
 
+def _tableau(b: Sequence, lam: Sequence, depth: int, prec: int) -> Series:
+    """Series of the J-fraction cut below level ``depth``, by the Stieltjes
+    tableau: T(n, k) weighs the Motzkin paths from height 0 to height k in
+    n steps (an up step weighs 1, a level step at k weighs b[k], a down
+    step from k+1 to k weighs lam[k]), so
+
+        T(n, k) = T(n-1, k-1) + b[k] T(n-1, k) + lam[k] T(n-1, k+1)
+
+    and [x^n] = T(n, 0) (Flajolet 1980).  Heights stop at depth - 1 and at
+    prec - 1 - n, above which no path returns in time; so O(prec * depth)
+    field ops.  ``b`` needs depth entries, ``lam`` depth - 1."""
+    row = [ONE]
+    out = [ONE]
+    for n in range(1, prec):
+        top = min(depth - 1, n, prec - 1 - n)
+        nxt = []
+        for k in range(top + 1):
+            v = row[k - 1] if k else ZERO
+            if k < len(row):
+                v = v + b[k] * row[k]
+                if k + 1 < len(row):
+                    v = v + lam[k] * row[k + 1]
+            nxt.append(v)
+        row = nxt
+        out.append(row[0])
+    return Series(out)
+
+
 def jfrac_to_series(J: JFraction, prec: int) -> Series:
-    """Bottom-up evaluation of the truncated fraction, exact to prec.
+    """The truncated fraction to prec terms, by the Stieltjes tableau in
+    O(prec * depth) field ops.
 
     Coefficient x^n sees b_k for 2k+1 <= n and lam_k for 2k <= n, so prec
     coefficients need floor(prec/2) diagonal terms and floor((prec-1)/2)
@@ -67,28 +100,17 @@ def jfrac_to_series(J: JFraction, prec: int) -> Series:
         depth = needed_l + 1
     else:
         depth = len(J.lam) + 1  # terminates; missing b treated as 0
-    x = Series.x(prec)
-    x2 = x * x
-    tail = Series.one(prec)
-    for k in range(depth - 1, -1, -1):
-        bk = J.b[k] if k < len(J.b) else ZERO
-        level = Series.one(prec) - x * bk
-        if k < depth - 1 and k < len(J.lam):
-            level = level - x2 * J.lam[k] * tail
-        tail = divide(Series.one(prec), level)
-    return tail
+    b = J.b[:depth] + (ZERO,) * (depth - len(J.b))
+    return _tableau(b, J.lam, depth, prec)
 
 
 def sfrac_to_series(S: SFraction, prec: int) -> Series:
-    """One fraction level per series order; a short s-list terminates."""
+    """Through the even contraction, so by the same tableau in
+    O(prec * depth) field ops.  Coefficient x^n sees s_1 .. s_n, so prec
+    terms need prec - 1 entries; a short s-list terminates."""
     if prec <= 0:
         return Series([])
-    depth = min(len(S.s), prec - 1)
-    x = Series.x(prec)
-    tail = Series.one(prec)
-    for k in range(depth - 1, -1, -1):
-        tail = divide(Series.one(prec), Series.one(prec) - x * S.s[k] * tail)
-    return tail
+    return jfrac_to_series(contract_s_to_j(SFraction(S.s[: prec - 1])), prec)
 
 
 def series_to_jfrac(f: Series) -> JFraction:
@@ -191,16 +213,11 @@ def deleham_delta1(rs: Sequence, ss: Sequence, rows: int):
     1/(1 - w0 x - w1 x/(1 - w2 x/(1 - ...)))."""
     from .triangles import triangle_from_gf
 
-    w = _bivariate_weights(rs, ss, rows + 1)
+    w = _bivariate_weights(rs, ss, max(rows + 1, 2))
     prec = rows
     x = Series.x(prec)
-    tail = Series.one(prec)
-    for k in range(len(w) - 1, 1, -1):
-        tail = divide(Series.one(prec), Series.one(prec) - x * w[k] * tail)
-    level0 = Series.one(prec) - x * w[0]
-    if len(w) > 1:
-        level0 = level0 - x * w[1] * tail
-    gf = divide(Series.one(prec), level0)
+    tail = sfrac_to_series(SFraction(w[2:]), prec)
+    gf = divide(Series.one(prec), Series.one(prec) - x * w[0] - x * w[1] * tail)
     return triangle_from_gf(gf, rows, "ogf")
 
 

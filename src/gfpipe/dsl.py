@@ -354,6 +354,14 @@ class _Evaluator:
             raise TypeErrorValue("expected an integer", node.start, node.end)
         return int(q)
 
+    def count(self, node: Node) -> int:
+        n = self.integer(node)
+        if n < 1:
+            raise TypeErrorValue(
+                f"expected a count of at least 1, got {n}", node.start, node.end
+            )
+        return n
+
     def rational(self, node: Node) -> Fraction:
         v = self.scalar(node)
         try:
@@ -554,7 +562,7 @@ def _b_tinv(ev, node, p):
         ev.scalar(node.args[0]),
         ev.scalar(node.args[1]),
         ev.scalar(node.args[2]),
-        ev.integer(node.args[3]),
+        ev.count(node.args[3]),
     )
 
 
@@ -573,7 +581,7 @@ def _b_deleham(ev, node, p):
     return cfrac.deleham(
         ev.scalar_list(node.args[0]),
         ev.scalar_list(node.args[1]),
-        ev.integer(node.args[2]),
+        ev.count(node.args[2]),
     )
 
 
@@ -582,7 +590,7 @@ def _b_deleham1(ev, node, p):
     return cfrac.deleham_delta1(
         ev.scalar_list(node.args[0]),
         ev.scalar_list(node.args[1]),
-        ev.integer(node.args[2]),
+        ev.count(node.args[2]),
     )
 
 

@@ -66,6 +66,10 @@ class EvaluationPole(EngineError):
     """Substituting a numeric value for r hit a vanishing denominator."""
 
 
+class InexactDivision(EngineError):
+    """An exact polynomial division left a nonzero remainder."""
+
+
 class ExprError(Exception):
     """An error in an expression, carrying the offending source span."""
 

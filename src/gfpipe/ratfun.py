@@ -10,6 +10,13 @@ canonical normal form so that equal values have identical representations:
 Polynomials are tuples of ints in ascending powers with no trailing zeros;
 the zero polynomial is the empty tuple.  Coefficients are unbounded Python
 ints, so every operation is exact.
+
+Most values met in practice are rational constants (num and den of length
+at most one).  Those are normalised with one integer gcd (``_qnorm``)
+instead of the polynomial remainder sequence: the constructor, and sums
+and products of two constants, take that path, and ``pgcd`` answers with
+the gcd of the contents as soon as either argument is a constant.  The
+normal form is the same on both paths.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd
 
-from .errors import EvaluationPole
+from .errors import EvaluationPole, InexactDivision
 
 Poly = tuple  # tuple[int, ...], ascending powers, trailing zeros trimmed
 
@@ -114,7 +121,8 @@ def pdiv_exact(a: Poly, b: Poly) -> Poly:
             q[i] = qc
             for j, cb in enumerate(b):
                 rem[i + j] -= qc * cb
-    assert not any(rem), "inexact polynomial division"
+    if any(rem):
+        raise InexactDivision(f"{pstr(b)} does not divide {pstr(a)} in Z[r]")
     return ptrim(q)
 
 
@@ -141,8 +149,9 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         return _poscontent(b)
     if not b:
         return _poscontent(a)
-    ca, cb = abs(pcontent(a)), abs(pcontent(b))
-    c = _igcd(ca, cb)
+    c = _igcd(pcontent(a), pcontent(b))
+    if len(a) == 1 or len(b) == 1:
+        return (c,)
     pa, pb = pprimitive(a), pprimitive(b)
     if len(pa) < len(pb):
         pa, pb = pb, pa
@@ -192,6 +201,21 @@ def pstr(a: Poly, var: str = "r") -> str:
     return " ".join(parts)
 
 
+def _qnorm(n: int, d: int) -> tuple:
+    """Normal form (num, den) of the constant n/d, d != 0."""
+    g = _igcd(n, d)
+    if d < 0:
+        g = -g
+    return ((n // g,) if n else PZERO), (d // g,)
+
+
+def _make(num: Poly, den: Poly) -> "FieldElem":
+    """A FieldElem from a pair already in normal form."""
+    out = object.__new__(FieldElem)
+    out.num, out.den = num, den
+    return out
+
+
 class FieldElem:
     """An element of Q(r) in canonical normal form."""
 
@@ -204,6 +228,9 @@ class FieldElem:
             raise ZeroDivisionError("zero denominator in Q(r)")
         if not num:
             self.num, self.den = PZERO, PONE
+            return
+        if len(num) == 1 and len(den) == 1:
+            self.num, self.den = _qnorm(num[0], den[0])
             return
         g = pgcd(num, den)
         if g != PONE:
@@ -253,19 +280,18 @@ class FieldElem:
             if not isinstance(other, self._COERCIBLE):
                 return NotImplemented
             other = FieldElem.coerce(other)
-        if self.den == other.den:
-            return FieldElem(padd(self.num, other.num), self.den)
-        return FieldElem(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if len(a) <= 1 and len(b) == 1 and len(c) <= 1 and len(d) == 1:
+            n = (a[0] * d[0] if a else 0) + (c[0] * b[0] if c else 0)
+            return _make(*_qnorm(n, b[0] * d[0]))
+        if b == d:
+            return FieldElem(padd(a, c), b)
+        return FieldElem(padd(pmul(a, d), pmul(c, b)), pmul(b, d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(FieldElem)
-        out.num, out.den = pneg(self.num), self.den
-        return out
+        return _make(pneg(self.num), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (FieldElem, *self._COERCIBLE)):
@@ -285,6 +311,8 @@ class FieldElem:
         if self.is_zero() or other.is_zero():
             return ZERO
         a, b, c, d = self.num, self.den, other.num, other.den
+        if len(a) == 1 and len(b) == 1 and len(c) == 1 and len(d) == 1:
+            return _make(*_qnorm(a[0] * c[0], b[0] * d[0]))
         # cross-cancel so the result needs only a sign fix
         g1 = pgcd(a, d) if d != PONE and a != PONE else PONE
         g2 = pgcd(c, b) if b != PONE and c != PONE else PONE
@@ -295,9 +323,7 @@ class FieldElem:
         num, den = pmul(a, c), pmul(b, d)
         if den[-1] < 0:
             num, den = pneg(num), pneg(den)
-        out = object.__new__(FieldElem)
-        out.num, out.den = num, den
-        return out
+        return _make(num, den)
 
     __rmul__ = __mul__
 
@@ -307,9 +333,7 @@ class FieldElem:
         num, den = self.den, self.num
         if den[-1] < 0:
             num, den = pneg(num), pneg(den)
-        out = object.__new__(FieldElem)
-        out.num, out.den = num, den
-        return out
+        return _make(num, den)
 
     def __truediv__(self, other):
         if not isinstance(other, (FieldElem, *self._COERCIBLE)):

@@ -22,10 +22,11 @@ from gfpipe.errors import (
     NonUnitConstantTerm,
     PatternMismatch,
 )
-from gfpipe.ratfun import ONE, R, fe
-from gfpipe.series import Series, from_ratfun
+from gfpipe.ratfun import ONE, R, ZERO, fe
+from gfpipe.series import Series, divide, from_ratfun
+from gfpipe.triangles import triangle_from_gf
 
-from conftest import small_ints
+from conftest import scalars, small_ints
 
 
 def ints(series):
@@ -248,3 +249,105 @@ class TestPairing:
         assert [v.as_fraction() for v in got] == [b0, c, mu]
         back = t_inverse(*got, depth)
         assert back == J
+
+
+# -- differential tests of the tableau against bottom-up division ---------------
+
+
+def bottom_up_jfrac(J, prec):
+    """The former evaluation: one series reciprocal per level, deepest first."""
+    if prec <= 0:
+        return Series([])
+    needed_b = prec // 2
+    needed_l = (prec - 1) // 2
+    if len(J.lam) >= needed_l:
+        if len(J.b) < needed_b:
+            raise InsufficientDepth("short diagonal")
+        depth = needed_l + 1
+    else:
+        depth = len(J.lam) + 1
+    x = Series.x(prec)
+    tail = Series.one(prec)
+    for k in range(depth - 1, -1, -1):
+        bk = J.b[k] if k < len(J.b) else ZERO
+        level = Series.one(prec) - x * bk
+        if k < depth - 1:
+            level = level - x * x * J.lam[k] * tail
+        tail = divide(Series.one(prec), level)
+    return tail
+
+
+def bottom_up_sfrac(s, prec):
+    """S(s) at x = t^2 is the J-fraction with zero diagonal and weights s."""
+    if prec <= 0:
+        return Series([])
+    J = JFraction([0] * (len(s) + 1), s)
+    return Series(bottom_up_jfrac(J, 2 * prec - 1).coeffs[::2])
+
+
+def weights(rs, ss, n):
+    return [fe(rs[k] if k < len(rs) else 0) + fe(ss[k] if k < len(ss) else 0) * R
+            for k in range(n)]
+
+
+def forms(value):
+    """Exact (num, den) tuples of a series or a triangle; or the error."""
+    try:
+        v = value()
+    except InsufficientDepth:
+        return InsufficientDepth
+    rows = v.rows if hasattr(v, "rows") else [v.coeffs]
+    return [[(c.num, c.den) for c in row] for row in rows]
+
+
+entries = st.lists(scalars(), max_size=7)
+precs = st.integers(0, 12)
+
+
+class TestTableau:
+    @given(entries, entries, precs)
+    @settings(max_examples=60, deadline=None)
+    def test_jfrac_matches_bottom_up(self, bs, lams, prec):
+        J = JFraction(bs, lams)
+        assert forms(lambda: jfrac_to_series(J, prec)) == forms(
+            lambda: bottom_up_jfrac(J, prec))
+
+    @given(entries, precs)
+    @settings(max_examples=60, deadline=None)
+    def test_sfrac_matches_bottom_up(self, svals, prec):
+        assert forms(lambda: sfrac_to_series(SFraction(svals), prec)) == forms(
+            lambda: bottom_up_sfrac(SFraction(svals).s, prec))
+
+    @given(st.lists(small_ints, max_size=8), st.lists(small_ints, max_size=8),
+           st.integers(0, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_deleham_matches_bottom_up(self, rs, ss, rows):
+        w = weights(rs, ss, max(rows - 1, 0))
+        assert forms(lambda: deleham(rs, ss, rows)) == forms(
+            lambda: triangle_from_gf(bottom_up_sfrac(w, rows), rows, "ogf"))
+
+    @given(st.lists(small_ints, max_size=8), st.lists(small_ints, max_size=8),
+           st.integers(0, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_deleham_delta1_matches_bottom_up(self, rs, ss, rows):
+        w = weights(rs, ss, rows + 1)
+        x = Series.x(rows)
+        tail = bottom_up_sfrac(w[2:], rows)
+        level0 = Series.one(rows) - x * w[0]
+        if len(w) > 1:
+            level0 = level0 - x * w[1] * tail
+        gf = divide(Series.one(rows), level0)
+        assert forms(lambda: deleham_delta1(rs, ss, rows)) == forms(
+            lambda: triangle_from_gf(gf, rows, "ogf"))
+
+    @pytest.mark.parametrize("bs,lams,prec", [
+        ([1], [2, 8, 18, 32], 9),       # weights in play, diagonal short
+        ([], [1], 3),
+        ([1, 2], [1, 1, 1], 6),
+    ])
+    def test_insufficient_depth_agrees(self, bs, lams, prec):
+        J = JFraction(bs, lams)
+        with pytest.raises(InsufficientDepth):
+            bottom_up_jfrac(J, prec)
+        with pytest.raises(InsufficientDepth):
+            jfrac_to_series(J, prec)

@@ -57,6 +57,22 @@ class TestEval:
         assert "vanishes" in err
 
 
+class TestCounts:
+    @pytest.mark.parametrize("expr", [
+        "deleham1([1],[1],0-5)", "deleham([1],[1],0)", "deleham1([1],[1],0)",
+        "tinv(1,1,1,0-1)", "tinv(1,1,1,0)"])
+    def test_count_below_one_exit_2(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr, "--order", "3")
+        assert code == 2 and out == ""
+        assert "count of at least 1" in err and "offset" in err
+
+    @pytest.mark.parametrize("expr", [
+        "deleham([1],[1],1)", "deleham1([1],[1],1)", "tinv(1,1,1,1)"])
+    def test_count_one_accepted(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr, "--order", "3")
+        assert code == 0 and err == ""
+
+
 class TestTriangle:
     def test_a019538(self, capsys):
         code, out, _ = run(capsys, "triangle", "1/(1+r*(1-exp(x)))",

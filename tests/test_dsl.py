@@ -153,6 +153,16 @@ class TestEval:
         with pytest.raises(TypeErrorValue):
             evaluate_text("mystery(1)", Env(order=4))
 
+    @pytest.mark.parametrize("text,count", [
+        ("deleham1([1],[1],0-5)", "0-5"),
+        ("deleham([1],[1],0)", "0"),
+        ("tinv(1,1,1,0-1)", "0-1"),
+    ])
+    def test_count_below_one_spans_the_count(self, text, count):
+        with pytest.raises(TypeErrorValue) as exc:
+            evaluate_text(text, Env(order=3))
+        assert text[exc.value.start:exc.value.end] == count
+
     def test_type_mismatch(self):
         with pytest.raises(TypeErrorValue):
             evaluate_text("matmul(x,Bmat(3))", Env(order=4))

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfpipe.errors import EvaluationPole
-from gfpipe.ratfun import ONE, R, ZERO, FieldElem, fe, pgcd, pstr
+import gfpipe
+from gfpipe.errors import EvaluationPole, InexactDivision
+from gfpipe.ratfun import ONE, R, ZERO, FieldElem, fe, pdiv_exact, pgcd, pmul, pstr, ptrim
 
 from conftest import field_elems, nonzero_field_elems
 
@@ -92,3 +98,99 @@ def test_canonical_equality_through_arithmetic(a, b):
 @given(nonzero_field_elems())
 def test_gcd_is_unit_after_normalization(a):
     assert pgcd(a.num, a.den) == (1,)
+
+
+# -- integer fast path for constants -------------------------------------------
+
+fractions = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+)
+
+
+def fraction_form(q):
+    q = Fraction(q)
+    return ((q.numerator,) if q else (), (q.denominator,))
+
+
+def form(v):
+    return (v.num, v.den)
+
+
+@given(st.integers(-60, 60), st.integers(-60, 60).filter(bool))
+def test_constant_constructor_normal_form(n, d):
+    v = FieldElem((n,), (d,))
+    assert form(v) == fraction_form(Fraction(n, d))
+    assert v.den[0] > 0
+
+
+@given(fractions, fractions)
+def test_constant_arithmetic_matches_fraction(p, q):
+    a, b = fe(p), fe(q)
+    assert form(a) == fraction_form(p)
+    assert form(a + b) == fraction_form(Fraction(p) + q)
+    assert form(a - b) == fraction_form(Fraction(p) - q)
+    assert form(a * b) == fraction_form(Fraction(p) * q)
+    assert form(a + q) == form(p + b) == form(a + b)
+    assert form(a * q) == form(p * b) == form(a * b)
+    if q:
+        assert form(a / b) == fraction_form(Fraction(p) / q)
+        assert form(b.inverse()) == fraction_form(1 / Fraction(q))
+    for v in (a + b, a - b, a * b):
+        assert v.den[0] > 0
+
+
+@given(fractions, field_elems())
+def test_mixed_products_match_the_prs_route(q, e):
+    c = fe(q)
+    got = c * e
+    assert form(got) == form(e * c)
+    # multiplying num and den by 1 + r forces the polynomial remainder sequence
+    ref = FieldElem(pmul(pmul(c.num, e.num), (1, 1)), pmul(pmul(c.den, e.den), (1, 1)))
+    assert form(got) == form(ref)
+    assert got.den[-1] > 0
+
+
+@given(st.lists(st.integers(-9, 9), max_size=4).map(ptrim),
+       st.integers(-30, 30))
+def test_pgcd_with_a_constant_matches_the_prs_route(a, k):
+    b = (k,) if k else ()
+    got = pgcd(a, b)
+    assert got == pgcd(b, a)
+    if a or b:
+        # gcd(a (1+r), b (1+r)) = gcd(a, b) (1+r), computed by the PRS
+        ref = pdiv_exact(pgcd(pmul(a, (1, 1)), pmul(b, (1, 1))), (1, 1))
+        assert got == ref
+
+
+def test_pgcd_constant_examples():
+    assert pgcd((6,), (4, 2)) == (2,)
+    assert pgcd((4, 2), (6,)) == (2,)
+    assert pgcd((), (-3,)) == (3,)
+    assert pgcd((-5,), (0, 3)) == (1,)
+
+
+# -- exact division --------------------------------------------------------------
+
+
+def test_pdiv_exact_rejects_a_remainder():
+    assert pdiv_exact((1, 2, 1), (1, 1)) == (1, 1)
+    with pytest.raises(InexactDivision):
+        pdiv_exact((1, 0, 1), (1, 1))
+
+
+def test_pdiv_exact_check_survives_optimize_flag():
+    src = str(Path(gfpipe.__file__).resolve().parent.parent)
+    code = (
+        "from gfpipe.errors import InexactDivision\n"
+        "from gfpipe.ratfun import pdiv_exact\n"
+        "try:\n"
+        "    print(pdiv_exact((1, 0, 1), (1, 1)))\n"
+        "except InexactDivision:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"

@@ -172,8 +172,6 @@ def contract_s_to_j(S: SFraction) -> JFraction:
     def s(i: int) -> FieldElem:  # 1-based with zero padding
         return S.s[i - 1] if 1 <= i <= m else ZERO
 
-    if m == 0:
-        return JFraction([], [])
     bs = [s(1)]
     lams = []
     n = 1

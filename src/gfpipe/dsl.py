@@ -27,6 +27,12 @@ from .ratfun import FieldElem
 from .series import Series
 
 MAX_INT_EXPONENT = 64
+# Parsing and evaluation recurse once per level, so nesting is capped well
+# inside the interpreter's recursion limit: brackets (parentheses, lists,
+# argument lists) at MAX_NESTING, the syntax tree (where each operator of a
+# chain such as 1+x+x^2 adds a level) at MAX_DEPTH.
+MAX_NESTING = 100
+MAX_DEPTH = 250
 
 
 # -- AST --------------------------------------------------------------------
@@ -123,6 +129,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -149,7 +156,16 @@ class _Parser:
             raise ParseError(
                 f"unexpected {tok[1]!r} after expression", tok[2], ("end",)
             )
+        _check_depth(node)
         return node
+
+    def nest(self, start: int):
+        """Enter a bracket opened at ``start``; see MAX_NESTING."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(
+                f"brackets nested more than {MAX_NESTING} deep", start, ()
+            )
 
     def expr(self) -> Node:
         node = self.term()
@@ -184,13 +200,17 @@ class _Parser:
             return Num(start, start + len(textv), int(textv))
         if kind == "(":
             self.advance()
+            self.nest(start)
             node = self.expr()
             close = self.expect(")")
+            self.nesting -= 1
             return _respan(node, start, close[2] + 1)
         if kind == "[":
             self.advance()
+            self.nest(start)
             items = self.args("]")
             close = self.expect("]")
+            self.nesting -= 1
             return ListLit(start, close[2] + 1, tuple(items))
         if kind == "ident":
             self.advance()
@@ -200,8 +220,10 @@ class _Parser:
                 return ParamR(start, start + 1)
             if self.peek()[0] == "(":
                 self.advance()
+                self.nest(start)
                 args = self.args(")")
                 close = self.expect(")")
+                self.nesting -= 1
                 return Call(start, close[2] + 1, textv, tuple(args))
             return Name(start, start + len(textv), textv)
         raise ParseError(
@@ -219,6 +241,32 @@ class _Parser:
             self.advance()
             items.append(self.expr())
         return items
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, ListLit):
+        return node.items
+    return ()
+
+
+def _check_depth(root: Node) -> None:
+    """Reject a syntax tree deeper than MAX_DEPTH, level by level."""
+    level = [root]
+    for _ in range(MAX_DEPTH):
+        level = [kid for node in level for kid in _children(node)]
+        if not level:
+            return
+    raise ParseError(
+        f"expression nested more than {MAX_DEPTH} levels deep",
+        level[0].start,
+        (),
+    )
 
 
 def _respan(node: Node, start: int, end: int) -> Node:
@@ -294,16 +342,7 @@ Value = object  # Series | Triangle | JFraction | SFraction | SquareMatrix |
 
 
 def _contains_x(node: Node) -> bool:
-    if isinstance(node, VarX):
-        return True
-    if isinstance(node, Bin):
-        return _contains_x(node.left) or _contains_x(node.right)
-    if isinstance(node, Pow):
-        return _contains_x(node.base)
-    if isinstance(node, (Call, ListLit)):
-        kids = node.args if isinstance(node, Call) else node.items
-        return any(_contains_x(k) for k in kids)
-    return False
+    return isinstance(node, VarX) or any(_contains_x(k) for k in _children(node))
 
 
 class _Evaluator:
@@ -429,6 +468,10 @@ class _Evaluator:
                 return a - b
             if node.op == "*":
                 return a * b
+            if b.prec and b.coeffs[0].is_zero() and not _contains_x(node.right):
+                raise ZeroDivisionError(
+                    f"scalar division by zero (divisor {pretty(node.right)})"
+                )
             return a / b
         if isinstance(node, Call):
             handler = _BUILTINS.get(node.name)
@@ -601,7 +644,7 @@ def _b_triangle(ev, node, p):
             node.start,
             node.end,
         )
-    rows = ev.integer(node.args[1])
+    rows = ev.count(node.args[1])
     mode = "ogf"
     if len(node.args) == 3:
         mode = ev.name(node.args[2])
@@ -634,13 +677,13 @@ def _b_inv(ev, node, p):
 
 def _b_bmat(ev, node, p):
     _need(node, 1)
-    return triangles.binomial_matrix(ev.integer(node.args[0]))
+    return triangles.binomial_matrix(ev.count(node.args[0]))
 
 
 def _riordan(kind):
     def handler(ev: _Evaluator, node: Call, p: int):
         _need(node, 3)
-        rows = ev.integer(node.args[2])
+        rows = ev.count(node.args[2])
         need = max(rows, 2)
         g = ev.series(node.args[0], need)
         f = ev.series(node.args[1], need)
@@ -661,7 +704,7 @@ def _b_rapply(ev, node, p):
 
 def _b_prodmat(ev, node, p):
     _need(node, 3)
-    size = ev.integer(node.args[2])
+    size = ev.count(node.args[2])
     g = ev.series(node.args[0], size + 2)
     f = ev.series(node.args[1], size + 2)
     return triangles.production_matrix(
@@ -690,7 +733,7 @@ def _b_orthopoly(ev, node, p):
             node.start,
             node.end,
         )
-    return triangles.orthopoly_triangle(v, ev.integer(node.args[1]))
+    return triangles.orthopoly_triangle(v, ev.count(node.args[1]))
 
 
 def _b_oracle(ev, node, p):
@@ -705,13 +748,17 @@ def _b_oracle(ev, node, p):
 def _b_oracletri(ev, node, p):
     _need(node, 2)
     return triangles.oracle_triangle(
-        ev.name(node.args[0]), ev.integer(node.args[1])
+        ev.name(node.args[0]), ev.count(node.args[1])
     )
 
 
 def _b_matrix(ev, node, p):
     _need(node, 1)
     rows = [ev.scalar_list(item) for item in ev.list_items(node.args[0])]
+    if not rows:
+        raise TypeErrorValue(
+            "a matrix needs at least one row", node.args[0].start, node.args[0].end
+        )
     return triangles.SquareMatrix(rows)
 
 

@@ -17,6 +17,16 @@ instead of the polynomial remainder sequence: the constructor, and sums
 and products of two constants, take that path, and ``pgcd`` answers with
 the gcd of the contents as soon as either argument is a constant.  The
 normal form is the same on both paths.
+
+Every sum of products in the engine (series products and quotients, the
+exp recurrence, triangle and matrix products) goes through one kernel,
+``dot``.  It brings the products over the lcm of their denominators, adds
+the numerators in place in Z[r], and runs the normal form once on the
+sum, instead of once per partial sum as ``s = s + a * b`` does.  When
+every operand is a rational constant it stays on plain ints: one running
+numerator over the lcm of the denominators, ended by one ``_qnorm``.
+Since the normal form is unique, ``dot`` returns exactly what the left
+fold returns.
 """
 
 from __future__ import annotations
@@ -375,6 +385,60 @@ class FieldElem:
 
     def __repr__(self):
         return f"FieldElem({self})"
+
+
+def dot(xs, ys) -> FieldElem:
+    """sum(x * y for x, y in zip(xs, ys)) with one normal form at the end.
+
+    Zero terms are skipped.  The products are brought over the lcm of
+    their denominators (integer gcd when every denominator is a constant,
+    ``pgcd`` otherwise) and their numerators summed in Z[r]."""
+    terms = [(x, y) for x, y in zip(xs, ys) if x.num and y.num]
+    if not terms:
+        return ZERO
+    const_den = const = True
+    for x, y in terms:
+        if len(x.den) > 1 or len(y.den) > 1:
+            const_den = const = False
+            break
+        if len(x.num) > 1 or len(y.num) > 1:
+            const = False
+    if const:
+        n, d = 0, 1
+        for x, y in terms:
+            pn, pd = x.num[0] * y.num[0], x.den[0] * y.den[0]
+            if pd == d:
+                n += pn
+            else:
+                g = _igcd(d, pd)
+                n = n * (pd // g) + pn * (d // g)
+                d = d // g * pd
+        return _make(*_qnorm(n, d))
+    if not const_den:
+        dens = [pmul(x.den, y.den) for x, y in terms]
+        den = dens[0]
+        for pd in dens[1:]:
+            if pd != den:
+                den = pmul(den, pdiv_exact(pd, pgcd(den, pd)))
+        num = PZERO
+        for (x, y), pd in zip(terms, dens):
+            num = padd(num, pmul(pmul(x.num, y.num), pdiv_exact(den, pd)))
+        return FieldElem(num, den)
+    d = 1
+    for x, y in terms:
+        pd = x.den[0] * y.den[0]
+        if d % pd:
+            d = d // _igcd(d, pd) * pd
+    acc = [0] * max(len(x.num) + len(y.num) - 1 for x, y in terms)
+    for x, y in terms:
+        f = d // (x.den[0] * y.den[0])
+        yn = y.num
+        for i, a in enumerate(x.num):
+            if a:
+                af = a * f
+                for j, b in enumerate(yn, i):
+                    acc[j] += af * b
+    return FieldElem(acc, (d,))
 
 
 ZERO = FieldElem(PZERO)

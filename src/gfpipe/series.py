@@ -21,7 +21,7 @@ from .errors import (
     NonUnitConstantTerm,
     NotReversible,
 )
-from .ratfun import ONE, ZERO, FieldElem, fe
+from .ratfun import ONE, ZERO, FieldElem, dot, fe
 
 
 def _coerce_coeffs(cs: Iterable) -> tuple:
@@ -106,21 +106,15 @@ class Series:
         return _as_series(other, self.prec) + (-self)
 
     def __mul__(self, other):
+        """Scalar multiple, or the Cauchy product to the shared precision:
+        each coefficient is one ``dot`` of a prefix of self against the
+        reversed prefix of other, so it is normalised once."""
         if isinstance(other, (int, Fraction, FieldElem)):
             k = fe(other)
             return Series([c * k for c in self.coeffs])
         n = min(self.prec, other.prec)
         a, b = self.coeffs, other.coeffs
-        out = [ZERO] * n
-        for i in range(n):
-            ai = a[i]
-            if ai.is_zero():
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return Series(out)
+        return Series([dot(a[: k + 1], b[k::-1]) for k in range(n)])
 
     __rmul__ = __mul__
 
@@ -215,15 +209,11 @@ class Series:
             raise CompositionNeedsZeroConstant("exp needs constant term 0")
         n = self.prec
         f = self.coeffs
-        out = [ONE] + [ZERO] * (n - 1)
-        # E' = E * f'  =>  (n+1) E_{n+1} = sum_j E_j (n+1-j) f_{n+1-j}
+        df = [c * k for k, c in enumerate(f)]
+        out = [ONE]
+        # E' = E * f'  =>  m E_m = sum_j E_j (m-j) f_{m-j}
         for m in range(1, n):
-            s = ZERO
-            for j in range(m):
-                k = m - j
-                if not f[k].is_zero():
-                    s = s + out[j] * (f[k] * k)
-            out[m] = s / m
+            out.append(dot(out, df[m:0:-1]) / m)
         return Series(out)
 
     def log_derivative(self) -> "Series":
@@ -262,7 +252,10 @@ def _as_series(v, prec: int) -> Series:
 
 
 def divide(a: Series, b: Series) -> Series:
-    """Quotient q with q*b = a to the shared precision; needs b(0) != 0."""
+    """Quotient q with q*b = a to the shared precision; needs b(0) != 0.
+
+    Solved term by term, q_m = (a_m - sum_{j<m} q_j b_{m-j}) / b_0, with
+    the sum taken by one ``dot``."""
     n = min(a.prec, b.prec)
     if n == 0:
         return Series([])
@@ -271,12 +264,7 @@ def divide(a: Series, b: Series) -> Series:
     b0inv = b.coeffs[0].inverse()
     out = []
     for m in range(n):
-        s = a.coeffs[m]
-        for j in range(m):
-            bk = b.coeffs[m - j]
-            if not bk.is_zero():
-                s = s - out[j] * bk
-        out.append(s * b0inv)
+        out.append((a.coeffs[m] - dot(out, b.coeffs[m:0:-1])) * b0inv)
     return Series(out)
 
 
@@ -290,9 +278,7 @@ def from_ratfun(num: Sequence, den: Sequence, prec: int) -> Series:
     out = []
     for m in range(prec):
         s = num[m] if m < len(num) else ZERO
-        for j in range(max(0, m - len(den) + 1), m):
-            s = s - out[j] * den[m - j]
-        out.append(s * d0inv)
+        out.append((s - dot(out[::-1], den[1:])) * d0inv)
     return Series(out)
 
 

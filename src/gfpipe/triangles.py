@@ -24,7 +24,7 @@ from .errors import (
     SingularDiagonal,
     UnknownOracle,
 )
-from .ratfun import ONE, ZERO, FieldElem, fe
+from .ratfun import ONE, ZERO, FieldElem, dot, fe
 from .series import Series, divide
 
 
@@ -106,14 +106,7 @@ class SquareMatrix:
         vec = [fe(v) for v in vec]
         if len(vec) != self.size:
             raise ValueError("vector length must match matrix size")
-        out = []
-        for row in self.rows:
-            s = ZERO
-            for a, v in zip(row, vec):
-                if not a.is_zero():
-                    s = s + a * v
-            out.append(s)
-        return tuple(out)
+        return tuple(dot(row, vec) for row in self.rows)
 
     def substitute(self, value: Fraction) -> "SquareMatrix":
         return SquareMatrix(
@@ -200,18 +193,11 @@ def reversal(T: Triangle) -> Triangle:
 
 def matmul(A: Triangle, B: Triangle) -> Triangle:
     n = min(A.n_rows, B.n_rows)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(i + 1):
-            s = ZERO
-            for k in range(j, i + 1):
-                a = A.rows[i][k]
-                if not a.is_zero():
-                    s = s + a * B.rows[k][j]
-            row.append(s)
-        out.append(row)
-    return Triangle(out)
+    return Triangle([
+        [dot(A.rows[i][j:], [B.rows[k][j] for k in range(j, i + 1)])
+         for j in range(i + 1)]
+        for i in range(n)
+    ])
 
 
 def identity_triangle(rows: int) -> Triangle:
@@ -228,11 +214,7 @@ def tri_inverse(T: Triangle) -> Triangle:
     for i in range(n):
         inv[i][i] = T.rows[i][i].inverse()
         for j in range(i - 1, -1, -1):
-            s = ZERO
-            for k in range(j, i):
-                a = T.rows[i][k]
-                if not a.is_zero():
-                    s = s + a * inv[k][j]
+            s = dot(T.rows[i][j:i], [inv[k][j] for k in range(j, i)])
             inv[i][j] = -(s * inv[i][i]) if not s.is_zero() else ZERO
     return Triangle(inv)
 
@@ -357,14 +339,8 @@ def moment_functional(moments: Series, p: Sequence, q: Sequence) -> FieldElem:
         raise PrecisionExhausted(
             f"need moment {deg}, only {moments.prec} moments known"
         )
-    out = ZERO
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            if not b.is_zero():
-                out = out + a * b * moments.coeffs[i + j]
-    return out
+    m = moments.coeffs
+    return dot(p, [dot(q, m[i:]) for i in range(len(p))])
 
 
 # -- closed-form oracles ----------------------------------------------------
@@ -399,11 +375,15 @@ def _narayana3(n: int, k: int) -> Fraction:
 
 
 def _a096078(n: int, k: int) -> int:
-    if n == 0 and k == 0:
-        return 1
-    if k < 0 or k > n or n < 0:
-        return 0
-    return (k + 1) * _a096078(n - 1, k) + (n - k + 1) * _a096078(n, k - 1)
+    """T(n,k) = (k+1) T(n-1,k) + (n-k+1) T(n,k-1), T(0,0) = 1, tabulated
+    row by row."""
+    row = [1]
+    for m in range(1, n + 1):
+        prev, row = row, []
+        for j in range(m + 1):
+            up = prev[j] if j < m else 0
+            row.append((j + 1) * up + (m - j + 1) * (row[j - 1] if j else 0))
+    return row[k]
 
 
 def _double_factorial_odd(k: int) -> int:

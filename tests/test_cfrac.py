@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfpipe.cfrac import (
@@ -49,6 +49,10 @@ class TestEvaluation:
 
     def test_empty_is_one(self):
         assert ints(jfrac_to_series(JFraction([], []), 4)) == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("prec", range(6))
+    def test_empty_sfrac_is_one(self, prec):
+        assert ints(sfrac_to_series(SFraction([]), prec)) == [1, 0, 0, 0, 0, 0][:prec]
 
     def test_insufficient_depth(self):
         with pytest.raises(InsufficientDepth):
@@ -313,6 +317,7 @@ class TestTableau:
             lambda: bottom_up_jfrac(J, prec))
 
     @given(entries, precs)
+    @example(svals=[], prec=2)
     @settings(max_examples=60, deadline=None)
     def test_sfrac_matches_bottom_up(self, svals, prec):
         assert forms(lambda: sfrac_to_series(SFraction(svals), prec)) == forms(

@@ -60,17 +60,54 @@ class TestEval:
 class TestCounts:
     @pytest.mark.parametrize("expr", [
         "deleham1([1],[1],0-5)", "deleham([1],[1],0)", "deleham1([1],[1],0)",
-        "tinv(1,1,1,0-1)", "tinv(1,1,1,0)"])
+        "tinv(1,1,1,0-1)", "tinv(1,1,1,0)", "Bmat(0-1)",
+        "triangle(1/(1-x),0-2,ogf)", "oracletri(N1,0)", "riordan(1/(1-x),x,0)",
+        "prodmat(exp(x),x,0)", "orthopoly(prodmat(exp(x),x,3),0)"])
     def test_count_below_one_exit_2(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr, "--order", "3")
         assert code == 2 and out == ""
         assert "count of at least 1" in err and "offset" in err
 
     @pytest.mark.parametrize("expr", [
-        "deleham([1],[1],1)", "deleham1([1],[1],1)", "tinv(1,1,1,1)"])
+        "deleham([1],[1],1)", "deleham1([1],[1],1)", "tinv(1,1,1,1)", "Bmat(1)",
+        "triangle(1/(1-x),1,ogf)", "oracletri(N1,1)", "matrix([[1]])"])
     def test_count_one_accepted(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr, "--order", "3")
         assert code == 0 and err == ""
+
+    def test_empty_matrix_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "matrix([])")
+        assert code == 2 and out == ""
+        assert "at least one row" in err and "offset 7" in err
+
+
+class TestRobustness:
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        expr = "(" * 3000 + "x" + ")" * 3000
+        code, out, err = run(capsys, "eval", expr)
+        assert code == 2 and out == ""
+        assert "nested more than" in err and "^" in err
+        assert "Traceback" not in err
+
+    def test_long_chain_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "eval", "+".join(["x"] * 3000))
+        assert code == 2 and "nested more than" in err
+
+    @pytest.mark.parametrize("expr", ["powq(1+x,1/0)", "1/0", "x/(r-r)"])
+    def test_scalar_division_by_zero(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr, "--order", "3")
+        assert code == 1 and out == ""
+        assert "scalar division by zero" in err
+
+    def test_series_division_keeps_its_message(self, capsys):
+        code, out, err = run(capsys, "eval", "1/x", "--order", "3")
+        assert code == 1
+        assert "unit constant term" in err
+
+    @pytest.mark.parametrize("expr", ["sfrac([])*1", "tosfrac(1+0*x)*1"])
+    def test_empty_sfrac_at_order_2(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr, "--order", "2")
+        assert (code, out.strip(), err) == (0, "1, 0", "")
 
 
 class TestTriangle:

@@ -4,6 +4,8 @@ import pytest
 
 from gfpipe.cfrac import JFraction
 from gfpipe.dsl import (
+    MAX_DEPTH,
+    MAX_NESTING,
     Bin,
     Call,
     Env,
@@ -52,6 +54,25 @@ class TestParse:
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             parse("1/(1-x")
+
+    @pytest.mark.parametrize("text,position", [
+        ("(" * 3000 + "x" + ")" * 3000, MAX_NESTING),
+        ("exp(" * 200 + "x" + ")" * 200, 4 * MAX_NESTING),
+        ("[" * 200 + "]" * 200, MAX_NESTING),
+    ])
+    def test_bracket_nesting_capped(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+
+    def test_tree_depth_capped(self):
+        text = "+".join(["x"] * (MAX_DEPTH + 1))
+        with pytest.raises(ParseError):
+            parse(text)
+        shallow = "+".join(["x"] * MAX_DEPTH)
+        assert ints(evaluate_text(shallow, Env(order=2))) == [0, MAX_DEPTH]
+        nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert ints(evaluate_text(nested, Env(order=2))) == [0, 1]
 
     def test_precedence(self):
         ast = parse("1+2*x")
@@ -157,11 +178,24 @@ class TestEval:
         ("deleham1([1],[1],0-5)", "0-5"),
         ("deleham([1],[1],0)", "0"),
         ("tinv(1,1,1,0-1)", "0-1"),
+        ("Bmat(0-1)", "0-1"),
+        ("triangle(1/(1-x),0-2,ogf)", "0-2"),
+        ("oracletri(N1,0)", "0"),
+        ("riordan(1/(1-x),x,0)", "0"),
+        ("eriordan(exp(x),x,0)", "0"),
+        ("prodmat(exp(x),x,0)", "0"),
+        ("orthopoly(prodmat(exp(x),x,3),0)", "0"),
     ])
     def test_count_below_one_spans_the_count(self, text, count):
         with pytest.raises(TypeErrorValue) as exc:
             evaluate_text(text, Env(order=3))
         assert text[exc.value.start:exc.value.end] == count
+
+    def test_empty_matrix_spans_the_list(self):
+        text = "matrix([])"
+        with pytest.raises(TypeErrorValue) as exc:
+            evaluate_text(text, Env(order=3))
+        assert text[exc.value.start:exc.value.end] == "[]"
 
     def test_type_mismatch(self):
         with pytest.raises(TypeErrorValue):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import gfpipe
 from gfpipe.errors import EvaluationPole, InexactDivision
-from gfpipe.ratfun import ONE, R, ZERO, FieldElem, fe, pdiv_exact, pgcd, pmul, pstr, ptrim
+from gfpipe.ratfun import (
+    ONE, R, ZERO, FieldElem, dot, fe, pdiv_exact, pgcd, pmul, pstr, ptrim,
+)
 
-from conftest import field_elems, nonzero_field_elems
+from conftest import field_elems, nonzero_field_elems, scalars, small_ints
 
 
 def test_normalization_canonical_two_routes():
@@ -168,6 +170,58 @@ def test_pgcd_constant_examples():
     assert pgcd((4, 2), (6,)) == (2,)
     assert pgcd((), (-3,)) == (3,)
     assert pgcd((-5,), (0, 3)) == (1,)
+
+
+# -- the dot kernel ---------------------------------------------------------------
+
+
+def fold(xs, ys):
+    """The per-term sum ``dot`` replaces: a normal form after every step."""
+    s = ZERO
+    for x, y in zip(xs, ys):
+        s = s + x * y
+    return s
+
+
+# a polynomial in r over an integer denominator, as in series of rational gfs
+int_den = st.builds(
+    lambda cs, d: FieldElem(tuple(cs), (d,)),
+    st.lists(small_ints, min_size=1, max_size=4), st.integers(1, 6))
+constants = st.builds(lambda n, d: fe(Fraction(n, d)), small_ints, st.integers(1, 6))
+_OPERANDS = {
+    "scalars": st.one_of(scalars(), st.just(ZERO)),
+    "constants": st.one_of(constants, st.just(ZERO)),
+    "int_den": st.one_of(int_den, constants, st.just(ZERO)),
+    "poly_den": st.one_of(field_elems(), int_den, st.just(ZERO)),
+}
+operand_lists = st.sampled_from(sorted(_OPERANDS)).flatmap(
+    lambda kind: st.tuples(st.lists(_OPERANDS[kind], max_size=7),
+                           st.lists(_OPERANDS[kind], max_size=7)))
+
+
+@given(operand_lists)
+@settings(max_examples=300, deadline=None)
+def test_dot_matches_the_left_fold(lists):
+    xs, ys = lists
+    got, want = dot(xs, ys), fold(xs, ys)
+    assert form(got) == form(want)
+    assert type(got.num) is tuple and type(got.den) is tuple
+
+
+def test_dot_examples():
+    half, third = fe(Fraction(1, 2)), fe(Fraction(1, 3))
+    assert form(dot([], [])) == form(ZERO)
+    assert form(dot([ONE, R], [])) == form(ZERO)
+    assert form(dot([ZERO, R], [R, ZERO])) == form(ZERO)
+    # constants over different denominators: 1/2 + 1 - 3
+    assert form(dot([half, third, ONE], [ONE, fe(3), fe(-3)])) == fraction_form(Fraction(-3, 2))
+    assert form(dot([half, -half], [third, third])) == form(ZERO)
+    # Q[r] over integer denominators: (r/2)(r/3) + (r^2/6)(-1) = 0
+    assert form(dot([R * half, R * R * fe(Fraction(1, 6))], [R * third, fe(-1)])) == form(ZERO)
+    # true Q(r): 1/(1+r) + r/(1+r) = 1, and unequal lengths stop at the shorter
+    inv = (ONE + R).inverse()
+    assert form(dot([inv, R * inv, R], [ONE, ONE])) == form(ONE)
+    assert form(dot([inv, inv], [R, (R - 1).inverse()])) == form(fold([inv, inv], [R, (R - 1).inverse()]))
 
 
 # -- exact division --------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfpipe.errors import (
     CompositionNeedsZeroConstant,
@@ -9,9 +10,9 @@ from gfpipe.errors import (
     NotReversible,
 )
 from gfpipe.ratfun import ONE, R, ZERO, fe
-from gfpipe.series import Series, from_ratfun
+from gfpipe.series import Series, divide, from_ratfun
 
-from conftest import series_values
+from conftest import field_elems, nonzero_field_elems, scalars, series_values
 
 
 def S(*cs):
@@ -273,3 +274,119 @@ def test_exp_log_round_trip(f):
 def test_pow_rational_additivity(f):
     a, b = Fraction(1, 2), Fraction(-3, 2)
     assert f.pow_rational(a) * f.pow_rational(b) == f.pow_rational(a + b)
+
+
+# -- the per-term loops the dot kernel replaced, kept as oracles -------------------
+
+
+def mul_oracle(a, b):
+    n = min(a.prec, b.prec)
+    out = [ZERO] * n
+    for i in range(n):
+        ai = a[i]
+        if ai.is_zero():
+            continue
+        for j in range(n - i):
+            bj = b[j]
+            if not bj.is_zero():
+                out[i + j] = out[i + j] + ai * bj
+    return Series(out)
+
+
+def divide_oracle(a, b):
+    n = min(a.prec, b.prec)
+    b0inv = b[0].inverse()
+    out = []
+    for m in range(n):
+        s = a[m]
+        for j in range(m):
+            bk = b[m - j]
+            if not bk.is_zero():
+                s = s - out[j] * bk
+        out.append(s * b0inv)
+    return Series(out)
+
+
+def exp_oracle(f):
+    n = f.prec
+    out = [ONE] + [ZERO] * (n - 1)
+    for m in range(1, n):
+        s = ZERO
+        for j in range(m):
+            k = m - j
+            if not f[k].is_zero():
+                s = s + out[j] * (f[k] * k)
+        out[m] = s / m
+    return Series(out)
+
+
+def forms(series):
+    return [(c.num, c.den) for c in series]
+
+
+# coefficients: constants, polynomials in r, and true Q(r) values
+coeffs = st.one_of(scalars(), field_elems(max_deg=1), st.just(ZERO))
+
+
+def series_of(prec, first=coeffs):
+    return st.builds(lambda c0, rest: Series([c0] + rest), first,
+                     st.lists(coeffs, min_size=prec - 1, max_size=prec - 1))
+
+
+precs = st.integers(1, 7)
+
+
+@given(precs.flatmap(lambda n: st.tuples(series_of(n), series_of(n))))
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_the_per_term_loop(ab):
+    a, b = ab
+    assert forms(a * b) == forms(mul_oracle(a, b))
+
+
+@given(precs.flatmap(lambda n: st.tuples(
+    series_of(n), series_of(n, nonzero_field_elems(max_deg=1)))))
+@settings(max_examples=60, deadline=None)
+def test_divide_matches_the_per_term_loop(ab):
+    a, b = ab
+    assert forms(divide(a, b)) == forms(divide_oracle(a, b))
+
+
+@given(precs.flatmap(lambda n: series_of(n, st.just(ZERO))))
+@settings(max_examples=60, deadline=None)
+def test_exp_matches_the_per_term_loop(f):
+    assert forms(f.exp()) == forms(exp_oracle(f))
+
+
+# -- differential test against sympy's ring_series over QQ(r) ----------------------
+
+
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    series_of(n), series_of(n, nonzero_field_elems(max_deg=1)),
+    series_of(n, st.just(ZERO)))))
+@settings(max_examples=15, deadline=None)
+def test_against_sympy_ring_series(abf):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_exp, rs_mul, rs_series_inversion
+    from sympy.polys.rings import ring
+
+    K = sympy.QQ.frac_field(sympy.Symbol("r"))
+    Rx, x = ring("x", K)
+    r = K.gens[0]
+
+    def to_k(c):
+        num = sum((k * r**i for i, k in enumerate(c.num)), K.zero)
+        den = sum((k * r**i for i, k in enumerate(c.den)), K.zero)
+        return num / den
+
+    def to_ring(f):
+        return sum((to_k(c) * x**i for i, c in enumerate(f)), Rx.zero)
+
+    def coeffs_of(p, n):
+        return [p.coeff(x**i) for i in range(n)]
+
+    a, b, f = abf
+    n = a.prec
+    assert [to_k(c) for c in a * b] == coeffs_of(rs_mul(to_ring(a), to_ring(b), x, n), n)
+    assert [to_k(c) for c in divide(Series.one(n), b)] == \
+        coeffs_of(rs_series_inversion(to_ring(b), x, n), n)
+    assert [to_k(c) for c in f.exp()] == coeffs_of(rs_exp(to_ring(f), x, n), n)

@@ -36,7 +36,7 @@ from gfpipe.triangles import (
     tri_inverse,
 )
 
-from conftest import small_ints
+from conftest import field_elems, nonzero_field_elems, small_ints
 
 
 def tri_ints(T):
@@ -140,6 +140,20 @@ class TestInverse:
     def test_singular(self):
         with pytest.raises(SingularDiagonal):
             tri_inverse(Triangle([[1], [1, 0]]))
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(field_elems(max_deg=1), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2),
+        st.lists(nonzero_field_elems(max_deg=1), min_size=n, max_size=n))))
+    @settings(max_examples=25, deadline=None)
+    def test_inverse_of_a_qr_triangle(self, parts):
+        below, diag = parts
+        it = iter(below)
+        T = Triangle([[next(it) for _ in range(n)] + [d]
+                      for n, d in enumerate(diag)])
+        I = identity_triangle(T.n_rows)
+        assert matmul(T, tri_inverse(T)) == I
+        assert matmul(tri_inverse(T), T) == I
 
 
 class TestBinomialMatrix:
@@ -423,6 +437,20 @@ class TestOracle:
         ]
         for name, built in pairs:
             assert built == oracle_triangle(name, 7), name
+
+    def test_a096078_matches_its_recurrence(self):
+        memo = {(0, 0): 1}
+
+        def t(n, k):
+            if k < 0 or k > n:
+                return 0
+            if (n, k) not in memo:
+                memo[(n, k)] = (k + 1) * t(n - 1, k) + (n - k + 1) * t(n, k - 1)
+            return memo[(n, k)]
+
+        for n in range(23):
+            for k in range(n + 1):
+                assert oracle("A096078", n, k).as_fraction() == t(n, k)
 
     def test_a096078_diagonal(self):
         T = oracle_triangle("A096078", 5)

@@ -4,6 +4,7 @@ import pytest
 
 from gfpipe.cfrac import JFraction
 from gfpipe.dsl import (
+    BUILTIN_NAMES,
     MAX_DEPTH,
     MAX_NESTING,
     Bin,
@@ -19,6 +20,7 @@ from gfpipe.dsl import (
 )
 from gfpipe.errors import (
     ArityError,
+    ExprError,
     NonUnitConstantTerm,
     ParseError,
     TypeErrorValue,
@@ -293,3 +295,166 @@ class TestFormats:
         v = evaluate_text("jfrac([1,4],[2])", Env(order=4))
         out = format_value(v, "table")
         assert out.splitlines()[0].startswith("b:")
+
+
+# Every builtin's diagnostics, pinned: (text, class, message, start, span).
+# The span is None for engine errors, which carry no source span.
+BUILTIN_ARITY = [
+    ("P(x,x)", ArityError, "P expects 1 argument(s), got 2", 0, "P(x,x)"),
+    ("partialP(x,x)", ArityError, "partialP expects 1 argument(s), got 2", 0, "partialP(x,x)"),
+    ("reverseP(x,x)", ArityError, "reverseP expects 1 argument(s), got 2", 0, "reverseP(x,x)"),
+    ("sumudu(x,x)", ArityError, "sumudu expects 1 argument(s), got 2", 0, "sumudu(x,x)"),
+    ("isumudu(x,x)", ArityError, "isumudu expects 1 argument(s), got 2", 0, "isumudu(x,x)"),
+    ("binom(x,x)", ArityError, "binom expects 1 argument(s), got 2", 0, "binom(x,x)"),
+    ("ibinom(x,x)", ArityError, "ibinom expects 1 argument(s), got 2", 0, "ibinom(x,x)"),
+    ("revert(x,x)", ArityError, "revert expects 1 argument(s), got 2", 0, "revert(x,x)"),
+    ("gfrev(x,x)", ArityError, "gfrev expects 1 argument(s), got 2", 0, "gfrev(x,x)"),
+    ("logd(x,x)", ArityError, "logd expects 1 argument(s), got 2", 0, "logd(x,x)"),
+    ("diff(x,x)", ArityError, "diff expects 1 argument(s), got 2", 0, "diff(x,x)"),
+    ("integ(x,x)", ArityError, "integ expects 1 argument(s), got 2", 0, "integ(x,x)"),
+    ("log(x,x)", ArityError, "log expects 1 argument(s), got 2", 0, "log(x,x)"),
+    ("exp(x,x)", ArityError, "exp expects 1 argument(s), got 2", 0, "exp(x,x)"),
+    ("cosh(x,x)", ArityError, "cosh expects 1 argument(s), got 2", 0, "cosh(x,x)"),
+    ("sinh(x,x)", ArityError, "sinh expects 1 argument(s), got 2", 0, "sinh(x,x)"),
+    ("tojfrac(x,x)", ArityError, "tojfrac expects 1 argument(s), got 2", 0, "tojfrac(x,x)"),
+    ("tosfrac(x,x)", ArityError, "tosfrac expects 1 argument(s), got 2", 0, "tosfrac(x,x)"),
+    ("invert(x)", ArityError, "invert expects 2 argument(s), got 1", 0, "invert(x)"),
+    ("powq(x,1,1)", ArityError, "powq expects 2 argument(s), got 3", 0, "powq(x,1,1)"),
+    ("jfrac([1])", ArityError, "jfrac expects 2 argument(s), got 1", 0, "jfrac([1])"),
+    ("sfrac()", ArityError, "sfrac expects 1 argument(s), got 0", 0, "sfrac()"),
+    ("contract()", ArityError, "contract expects 1 argument(s), got 0", 0, "contract()"),
+    ("deleham([1],[1])", ArityError, "deleham expects 3 argument(s), got 2", 0, "deleham([1],[1])"),
+    ("deleham1([1],[1],3,3)", ArityError, "deleham1 expects 3 argument(s), got 4", 0, "deleham1([1],[1],3,3)"),
+    ("tinv(1,1,1)", ArityError, "tinv expects 4 argument(s), got 3", 0, "tinv(1,1,1)"),
+    ("tfwd(x,x)", ArityError, "tfwd expects 1 argument(s), got 2", 0, "tfwd(x,x)"),
+    ("triangle(x)", ArityError, "triangle expects 2 or 3 arguments, got 1", 0, "triangle(x)"),
+    ("triangle(x,3,ogf,1)", ArityError, "triangle expects 2 or 3 arguments, got 4", 0, "triangle(x,3,ogf,1)"),
+    ("reverse()", ArityError, "reverse expects 1 argument(s), got 0", 0, "reverse()"),
+    ("matmul(Bmat(2))", ArityError, "matmul expects 2 argument(s), got 1", 0, "matmul(Bmat(2))"),
+    ("inv(x,x)", ArityError, "inv expects 1 argument(s), got 2", 0, "inv(x,x)"),
+    ("Bmat()", ArityError, "Bmat expects 1 argument(s), got 0", 0, "Bmat()"),
+    ("riordan(1,x)", ArityError, "riordan expects 3 argument(s), got 2", 0, "riordan(1,x)"),
+    ("eriordan(1,x,3,3)", ArityError, "eriordan expects 3 argument(s), got 4", 0, "eriordan(1,x,3,3)"),
+    ("rapply(1,x)", ArityError, "rapply expects 3 argument(s), got 2", 0, "rapply(1,x)"),
+    ("prodmat(1,x)", ArityError, "prodmat expects 3 argument(s), got 2", 0, "prodmat(1,x)"),
+    ("recurrence()", ArityError, "recurrence expects 1 argument(s), got 0", 0, "recurrence()"),
+    ("orthopoly(x)", ArityError, "orthopoly expects 2 argument(s), got 1", 0, "orthopoly(x)"),
+    ("oracle(N3,6)", ArityError, "oracle expects 3 argument(s), got 2", 0, "oracle(N3,6)"),
+    ("oracletri(N1)", ArityError, "oracletri expects 2 argument(s), got 1", 0, "oracletri(N1)"),
+    ("matrix()", ArityError, "matrix expects 1 argument(s), got 0", 0, "matrix()"),
+    ("matvec(x)", ArityError, "matvec expects 2 argument(s), got 1", 0, "matvec(x)"),
+]
+
+BUILTIN_WRONG_KIND = [
+    ("P(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 2, "Bmat(2)"),
+    ("partialP(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 9, "Bmat(2)"),
+    ("reverseP(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 9, "Bmat(2)"),
+    ("sumudu(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 7, "Bmat(2)"),
+    ("isumudu(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 8, "Bmat(2)"),
+    ("binom(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 6, "Bmat(2)"),
+    ("ibinom(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 7, "Bmat(2)"),
+    ("revert(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 7, "Bmat(2)"),
+    ("gfrev(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 6, "Bmat(2)"),
+    ("logd(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 5, "Bmat(2)"),
+    ("diff(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 5, "Bmat(2)"),
+    ("integ(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 6, "Bmat(2)"),
+    ("log(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 4, "Bmat(2)"),
+    ("exp(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 4, "Bmat(2)"),
+    ("cosh(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 5, "Bmat(2)"),
+    ("sinh(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 5, "Bmat(2)"),
+    ("tojfrac(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 8, "Bmat(2)"),
+    ("tosfrac(Bmat(2))", TypeErrorValue, "expected a series, got triangle", 8, "Bmat(2)"),
+    ("invert(Bmat(2),1)", TypeErrorValue, "expected a series, got triangle", 7, "Bmat(2)"),
+    ("invert(1/(1-r),x)", TypeErrorValue, "expected a scalar (no x allowed here)", 15, "x"),
+    ("invert(1/(1-x),Bmat(2))", TypeErrorValue, "expected a scalar, got triangle", 15, "Bmat(2)"),
+    ("powq(Bmat(2),1/2)", TypeErrorValue, "expected a series, got triangle", 5, "Bmat(2)"),
+    ("powq(1-4*x,r)", TypeErrorValue, "expected a rational constant", 11, "r"),
+    ("powq(1-4*r,x)", TypeErrorValue, "expected a scalar (no x allowed here)", 11, "x"),
+    ("jfrac(7,[1])", TypeErrorValue, "expected a list here", 6, "7"),
+    ("jfrac([1],7)", TypeErrorValue, "expected a list here", 10, "7"),
+    ("jfrac([x],[1])", TypeErrorValue, "expected a scalar (no x allowed here)", 7, "x"),
+    ("sfrac(7)", TypeErrorValue, "expected a list here", 6, "7"),
+    ("sfrac([Bmat(2)])", TypeErrorValue, "expected a scalar, got triangle", 7, "Bmat(2)"),
+    ("contract(x)", TypeErrorValue, "contract expects a Stieltjes fraction", 0, "contract(x)"),
+    ("tfwd(x)", TypeErrorValue, "tfwd expects a Jacobi fraction", 0, "tfwd(x)"),
+    ("deleham(7,[1],3)", TypeErrorValue, "expected a list here", 8, "7"),
+    ("deleham([1],7,3)", TypeErrorValue, "expected a list here", 12, "7"),
+    ("deleham([1],[1],0)", TypeErrorValue, "expected a count of at least 1, got 0", 16, "0"),
+    ("deleham([1],[1],1/2)", TypeErrorValue, "expected an integer", 16, "1/2"),
+    ("deleham1(7,[1],3)", TypeErrorValue, "expected a list here", 9, "7"),
+    ("deleham1([1],7,3)", TypeErrorValue, "expected a list here", 13, "7"),
+    ("deleham1([1],[1],0)", TypeErrorValue, "expected a count of at least 1, got 0", 17, "0"),
+    ("tinv(x,1,1,3)", TypeErrorValue, "expected a scalar (no x allowed here)", 5, "x"),
+    ("tinv(1,x,1,3)", TypeErrorValue, "expected a scalar (no x allowed here)", 7, "x"),
+    ("tinv(1,1,x,3)", TypeErrorValue, "expected a scalar (no x allowed here)", 9, "x"),
+    ("tinv(1,1,1,0)", TypeErrorValue, "expected a count of at least 1, got 0", 11, "0"),
+    ("tinv(1,1,1,r)", TypeErrorValue, "expected an integer", 11, "r"),
+    ("triangle(Bmat(2),3)", TypeErrorValue, "expected a series, got triangle", 9, "Bmat(2)"),
+    ("triangle(1/(1-x),0)", TypeErrorValue, "expected a count of at least 1, got 0", 17, "0"),
+    ("triangle(1/(1-x),3,foo)", TypeErrorValue, "triangle mode must be ogf or egf", 19, "foo"),
+    ("triangle(1/(1-x),3,7)", TypeErrorValue, "expected a name here", 19, "7"),
+    ("triangle(1/(1-x),1/2,egf)", TypeErrorValue, "expected an integer", 17, "1/2"),
+    ("reverse(x)", TypeErrorValue, "expected a triangle, got series", 8, "x"),
+    ("matmul(x,Bmat(2))", TypeErrorValue, "expected a triangle, got series", 7, "x"),
+    ("matmul(Bmat(2),x)", TypeErrorValue, "expected a triangle, got series", 15, "x"),
+    ("inv(x)", TypeErrorValue, "expected a triangle, got series", 4, "x"),
+    ("Bmat(0)", TypeErrorValue, "expected a count of at least 1, got 0", 5, "0"),
+    ("Bmat(1/2)", TypeErrorValue, "expected an integer", 5, "1/2"),
+    ("riordan(Bmat(2),x,3)", TypeErrorValue, "expected a series, got triangle", 8, "Bmat(2)"),
+    ("riordan(1,Bmat(2),3)", TypeErrorValue, "expected a series, got triangle", 10, "Bmat(2)"),
+    ("riordan(1,x,0)", TypeErrorValue, "expected a count of at least 1, got 0", 12, "0"),
+    ("eriordan(Bmat(2),x,3)", TypeErrorValue, "expected a series, got triangle", 9, "Bmat(2)"),
+    ("eriordan(1,Bmat(2),3)", TypeErrorValue, "expected a series, got triangle", 11, "Bmat(2)"),
+    ("eriordan(1,x,0)", TypeErrorValue, "expected a count of at least 1, got 0", 13, "0"),
+    ("rapply(Bmat(2),x,x)", TypeErrorValue, "expected a series, got triangle", 7, "Bmat(2)"),
+    ("rapply(1,Bmat(2),x)", TypeErrorValue, "expected a series, got triangle", 9, "Bmat(2)"),
+    ("rapply(1,x,Bmat(2))", TypeErrorValue, "expected a series, got triangle", 11, "Bmat(2)"),
+    ("prodmat(Bmat(2),x,3)", TypeErrorValue, "expected a series, got triangle", 8, "Bmat(2)"),
+    ("prodmat(1,Bmat(2),3)", TypeErrorValue, "expected a series, got triangle", 10, "Bmat(2)"),
+    ("prodmat(1,x,0)", TypeErrorValue, "expected a count of at least 1, got 0", 12, "0"),
+    ("recurrence(x)", TypeErrorValue, "recurrence expects a production matrix", 0, "recurrence(x)"),
+    ("orthopoly(x,3)", TypeErrorValue, "orthopoly expects a production matrix or recurrence", 0, "orthopoly(x,3)"),
+    ("orthopoly(prodmat(exp(x),x,3),0)", TypeErrorValue, "expected a count of at least 1, got 0", 30, "0"),
+    ("oracle(7,6,3)", TypeErrorValue, "expected a name here", 7, "7"),
+    ("oracle(N3,1/2,3)", TypeErrorValue, "expected an integer", 10, "1/2"),
+    ("oracle(N3,6,r)", TypeErrorValue, "expected an integer", 12, "r"),
+    ("oracletri(7,3)", TypeErrorValue, "expected a name here", 10, "7"),
+    ("oracletri(N1,0)", TypeErrorValue, "expected a count of at least 1, got 0", 13, "0"),
+    ("matrix([])", TypeErrorValue, "a matrix needs at least one row", 7, "[]"),
+    ("matrix(7)", TypeErrorValue, "expected a list here", 7, "7"),
+    ("matrix([7])", TypeErrorValue, "expected a list here", 8, "7"),
+    ("matrix([[x]])", TypeErrorValue, "expected a scalar (no x allowed here)", 9, "x"),
+    ("matvec(x,[1])", TypeErrorValue, "matvec expects a matrix", 0, "matvec(x,[1])"),
+    ("matvec(matrix([[1]]),7)", TypeErrorValue, "expected a list here", 21, "7"),
+]
+
+# Two faulty arguments: the order in which a builtin reads its arguments
+# decides which fault is reported.
+BUILTIN_READ_ORDER = [
+    ("triangle(log(x),0)", TypeErrorValue, "expected a count of at least 1, got 0", 16, "0"),
+    ("triangle(log(x),3,foo)", TypeErrorValue, "triangle mode must be ogf or egf", 18, "foo"),
+    ("powq(log(x),[1])", NonUnitConstantTerm, "log needs constant term 1", None, None),
+    ("prodmat(log(x),x,0)", TypeErrorValue, "expected a count of at least 1, got 0", 17, "0"),
+]
+
+
+@pytest.mark.parametrize("text,cls,message,start,span",
+                         BUILTIN_ARITY + BUILTIN_WRONG_KIND + BUILTIN_READ_ORDER)
+def test_builtin_diagnostics(text, cls, message, start, span):
+    with pytest.raises(Exception) as exc:
+        evaluate_text(text, Env(order=4))
+    err = exc.value
+    assert type(err) is cls
+    assert err.args[0] == message
+    if span is None:
+        assert not isinstance(err, ExprError)
+    else:
+        assert err.start == start and text[err.start:err.end] == span
+
+
+def test_every_builtin_has_pinned_diagnostics():
+    def names(rows):
+        return {text.split("(")[0] for text, *_ in rows}
+
+    assert names(BUILTIN_ARITY) == set(BUILTIN_NAMES)
+    assert names(BUILTIN_WRONG_KIND) == set(BUILTIN_NAMES)

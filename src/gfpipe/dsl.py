@@ -383,54 +383,6 @@ class _Evaluator:
             f"expected a scalar, got {_kind_name(v)}", node.start, node.end
         )
 
-    def integer(self, node: Node) -> int:
-        v = self.scalar(node)
-        try:
-            q = v.as_fraction()
-        except ValueError:
-            raise TypeErrorValue("expected an integer", node.start, node.end)
-        if q.denominator != 1:
-            raise TypeErrorValue("expected an integer", node.start, node.end)
-        return int(q)
-
-    def count(self, node: Node) -> int:
-        n = self.integer(node)
-        if n < 1:
-            raise TypeErrorValue(
-                f"expected a count of at least 1, got {n}", node.start, node.end
-            )
-        return n
-
-    def rational(self, node: Node) -> Fraction:
-        v = self.scalar(node)
-        try:
-            return v.as_fraction()
-        except ValueError:
-            raise TypeErrorValue(
-                "expected a rational constant", node.start, node.end
-            )
-
-    def triangle(self, node: Node, p: int) -> triangles.Triangle:
-        v = self.value(node, p)
-        if not isinstance(v, triangles.Triangle):
-            raise TypeErrorValue(
-                f"expected a triangle, got {_kind_name(v)}", node.start, node.end
-            )
-        return v
-
-    def name(self, node: Node) -> str:
-        if not isinstance(node, Name):
-            raise TypeErrorValue("expected a name here", node.start, node.end)
-        return node.ident
-
-    def list_items(self, node: Node) -> tuple:
-        if not isinstance(node, ListLit):
-            raise TypeErrorValue("expected a list here", node.start, node.end)
-        return node.items
-
-    def scalar_list(self, node: Node) -> list:
-        return [self.scalar(item) for item in self.list_items(node)]
-
     # generic -------------------------------------------------------------
 
     def value(self, node: Node, p: int) -> Value:
@@ -496,329 +448,230 @@ def _kind_name(v: Value) -> str:
 
 
 # -- builtins ----------------------------------------------------------------
+#
+# Every builtin is one row of _BUILTINS: the engine function and one reader
+# per argument.  A reader ``read(ev, call, arg, p)`` returns the value of
+# argument ``arg`` of ``call`` at precision ``p``, or raises its diagnostic.
+# Arguments are read left to right, except that a series sized by the count
+# (_Sized) is read after all the others, so the first fault found is the
+# one reported.
 
 
-def _need(node: Call, n: int, *, at_least: bool = False):
-    ok = len(node.args) >= n if at_least else len(node.args) == n
-    if not ok:
-        word = "at least " if at_least else ""
-        raise ArityError(
-            f"{node.name} expects {word}{n} argument(s), got {len(node.args)}",
-            node.start,
-            node.end,
-        )
+def _ser(ev, call, arg, p):
+    return ev.series(arg, p)
 
 
-def _series_op(fn, extra_prec: int = 0):
-    def handler(ev: _Evaluator, node: Call, p: int):
-        _need(node, 1)
-        return fn(ev.series(node.args[0], p + extra_prec))
-
-    return handler
+def _ser_up(ev, call, arg, p):
+    """One more order, for builtins that lose one."""
+    return ev.series(arg, p + 1)
 
 
-def _b_pipeline(ev, node, p):
-    _need(node, 1)
-    return transforms.pipeline_P(ev.series(node.args[0], p + 1))
+def _ser_down(ev, call, arg, p):
+    """One order less, for integration, which gains one."""
+    return ev.series(arg, max(p - 1, 0))
 
 
-def _b_partial(ev, node, p):
-    _need(node, 1)
-    return transforms.partial_P(ev.series(node.args[0], p + 1))
+def _ser_order(ev, call, arg, p):
+    """The top-level order, whatever the caller asks for."""
+    return ev.series(arg, ev.env.order)
 
 
-def _b_reverse_p(ev, node, p):
-    _need(node, 1)
-    return transforms.reverse_P(ev.series(node.args[0], p))
+class _Sized:
+    """A series at precision ``rule(count)``, read after the other arguments."""
+
+    def __init__(self, rule):
+        self.rule = rule
 
 
-def _b_invert(ev, node, p):
-    _need(node, 2)
-    return transforms.invert_transform(
-        ev.series(node.args[0], p), ev.scalar(node.args[1])
-    )
+def _scalar(ev, call, arg, p):
+    return ev.scalar(arg)
 
 
-def _b_binom(ev, node, p):
-    _need(node, 1)
-    return transforms.binomial_transform(ev.series(node.args[0], p), "forward")
+def _rational(ev, call, arg, p, what="a rational constant"):
+    v = ev.scalar(arg)
+    try:
+        return v.as_fraction()
+    except ValueError:
+        raise TypeErrorValue(f"expected {what}", arg.start, arg.end)
 
 
-def _b_ibinom(ev, node, p):
-    _need(node, 1)
-    return transforms.binomial_transform(ev.series(node.args[0], p), "inverse")
+def _integer(ev, call, arg, p):
+    q = _rational(ev, call, arg, p, "an integer")
+    if q.denominator != 1:
+        raise TypeErrorValue("expected an integer", arg.start, arg.end)
+    return int(q)
 
 
-def _b_powq(ev, node, p):
-    _need(node, 2)
-    f = ev.series(node.args[0], p)
-    return f.pow_rational(ev.rational(node.args[1]))
-
-
-def _b_cosh(ev, node, p):
-    _need(node, 1)
-    f = ev.series(node.args[0], p)
-    return (f.exp() + (-f).exp()) / 2
-
-
-def _b_sinh(ev, node, p):
-    _need(node, 1)
-    f = ev.series(node.args[0], p)
-    return (f.exp() - (-f).exp()) / 2
-
-
-def _b_jfrac(ev, node, p):
-    _need(node, 2)
-    return cfrac.JFraction(
-        ev.scalar_list(node.args[0]), ev.scalar_list(node.args[1])
-    )
-
-
-def _b_sfrac(ev, node, p):
-    _need(node, 1)
-    return cfrac.SFraction(ev.scalar_list(node.args[0]))
-
-
-def _b_tojfrac(ev, node, p):
-    _need(node, 1)
-    return cfrac.series_to_jfrac(ev.series(node.args[0], ev.env.order))
-
-
-def _b_tosfrac(ev, node, p):
-    _need(node, 1)
-    return cfrac.series_to_sfrac(ev.series(node.args[0], ev.env.order))
-
-
-def _b_contract(ev, node, p):
-    _need(node, 1)
-    v = ev.value(node.args[0], p)
-    if not isinstance(v, cfrac.SFraction):
+def _count(ev, call, arg, p):
+    n = _integer(ev, call, arg, p)
+    if n < 1:
         raise TypeErrorValue(
-            "contract expects a Stieltjes fraction", node.start, node.end
+            f"expected a count of at least 1, got {n}", arg.start, arg.end
         )
-    return cfrac.contract_s_to_j(v)
+    return n
 
 
-def _b_tinv(ev, node, p):
-    _need(node, 4)
-    return cfrac.t_inverse(
-        ev.scalar(node.args[0]),
-        ev.scalar(node.args[1]),
-        ev.scalar(node.args[2]),
-        ev.count(node.args[3]),
-    )
+def _name(ev, call, arg, p):
+    if not isinstance(arg, Name):
+        raise TypeErrorValue("expected a name here", arg.start, arg.end)
+    return arg.ident
 
 
-def _b_tfwd(ev, node, p):
-    _need(node, 1)
-    v = ev.value(node.args[0], p)
-    if not isinstance(v, cfrac.JFraction):
-        raise TypeErrorValue(
-            "tfwd expects a Jacobi fraction", node.start, node.end
-        )
-    return cfrac.t_forward_image(v)
+def _mode(ev, call, arg, p):
+    mode = _name(ev, call, arg, p)
+    if mode not in ("ogf", "egf"):
+        raise TypeErrorValue("triangle mode must be ogf or egf", arg.start, arg.end)
+    return mode
 
 
-def _b_deleham(ev, node, p):
-    _need(node, 3)
-    return cfrac.deleham(
-        ev.scalar_list(node.args[0]),
-        ev.scalar_list(node.args[1]),
-        ev.count(node.args[2]),
-    )
+def _items(arg):
+    if not isinstance(arg, ListLit):
+        raise TypeErrorValue("expected a list here", arg.start, arg.end)
+    return arg.items
 
 
-def _b_deleham1(ev, node, p):
-    _need(node, 3)
-    return cfrac.deleham_delta1(
-        ev.scalar_list(node.args[0]),
-        ev.scalar_list(node.args[1]),
-        ev.count(node.args[2]),
-    )
+def _scalars(ev, call, arg, p):
+    return [ev.scalar(item) for item in _items(arg)]
 
 
-def _b_triangle(ev, node, p):
-    if len(node.args) not in (2, 3):
-        raise ArityError(
-            f"triangle expects 2 or 3 arguments, got {len(node.args)}",
-            node.start,
-            node.end,
-        )
-    rows = ev.count(node.args[1])
-    mode = "ogf"
-    if len(node.args) == 3:
-        mode = ev.name(node.args[2])
-        if mode not in ("ogf", "egf"):
-            raise TypeErrorValue(
-                "triangle mode must be ogf or egf",
-                node.args[2].start,
-                node.args[2].end,
-            )
-    gf = ev.series(node.args[0], rows)
-    return triangles.triangle_from_gf(gf, rows, mode)
-
-
-def _b_reverse(ev, node, p):
-    _need(node, 1)
-    return triangles.reversal(ev.triangle(node.args[0], p))
-
-
-def _b_matmul(ev, node, p):
-    _need(node, 2)
-    return triangles.matmul(
-        ev.triangle(node.args[0], p), ev.triangle(node.args[1], p)
-    )
-
-
-def _b_inv(ev, node, p):
-    _need(node, 1)
-    return triangles.tri_inverse(ev.triangle(node.args[0], p))
-
-
-def _b_bmat(ev, node, p):
-    _need(node, 1)
-    return triangles.binomial_matrix(ev.count(node.args[0]))
-
-
-def _riordan(kind):
-    def handler(ev: _Evaluator, node: Call, p: int):
-        _need(node, 3)
-        rows = ev.count(node.args[2])
-        need = max(rows, 2)
-        g = ev.series(node.args[0], need)
-        f = ev.series(node.args[1], need)
-        return triangles.riordan_to_triangle(
-            triangles.RiordanArray(g, f, kind), rows
-        )
-
-    return handler
-
-
-def _b_rapply(ev, node, p):
-    _need(node, 3)
-    g = ev.series(node.args[0], p)
-    f = ev.series(node.args[1], p)
-    h = ev.series(node.args[2], p)
-    return triangles.riordan_apply(triangles.RiordanArray(g, f, "ordinary"), h)
-
-
-def _b_prodmat(ev, node, p):
-    _need(node, 3)
-    size = ev.count(node.args[2])
-    g = ev.series(node.args[0], size + 2)
-    f = ev.series(node.args[1], size + 2)
-    return triangles.production_matrix(
-        triangles.RiordanArray(g, f, "exponential"), size
-    )
-
-
-def _b_recurrence(ev, node, p):
-    _need(node, 1)
-    v = ev.value(node.args[0], p)
-    if not isinstance(v, triangles.SquareMatrix):
-        raise TypeErrorValue(
-            "recurrence expects a production matrix", node.start, node.end
-        )
-    return triangles.recurrence_from_production(v)
-
-
-def _b_orthopoly(ev, node, p):
-    _need(node, 2)
-    v = ev.value(node.args[0], p)
-    if isinstance(v, triangles.SquareMatrix):
-        v = triangles.recurrence_from_production(v)
-    if not isinstance(v, triangles.RecurrenceCoeffs):
-        raise TypeErrorValue(
-            "orthopoly expects a production matrix or recurrence",
-            node.start,
-            node.end,
-        )
-    return triangles.orthopoly_triangle(v, ev.count(node.args[1]))
-
-
-def _b_oracle(ev, node, p):
-    _need(node, 3)
-    return triangles.oracle(
-        ev.name(node.args[0]),
-        ev.integer(node.args[1]),
-        ev.integer(node.args[2]),
-    )
-
-
-def _b_oracletri(ev, node, p):
-    _need(node, 2)
-    return triangles.oracle_triangle(
-        ev.name(node.args[0]), ev.count(node.args[1])
-    )
-
-
-def _b_matrix(ev, node, p):
-    _need(node, 1)
-    rows = [ev.scalar_list(item) for item in ev.list_items(node.args[0])]
+def _rows(ev, call, arg, p):
+    rows = [_scalars(ev, call, row, p) for row in _items(arg)]
     if not rows:
+        raise TypeErrorValue("a matrix needs at least one row", arg.start, arg.end)
+    return rows
+
+
+def _tri(ev, call, arg, p):
+    v = ev.value(arg, p)
+    if not isinstance(v, triangles.Triangle):
         raise TypeErrorValue(
-            "a matrix needs at least one row", node.args[0].start, node.args[0].end
+            f"expected a triangle, got {_kind_name(v)}", arg.start, arg.end
         )
-    return triangles.SquareMatrix(rows)
+    return v
 
 
-def _b_matvec(ev, node, p):
-    _need(node, 2)
-    m = ev.value(node.args[0], p)
-    if not isinstance(m, triangles.SquareMatrix):
-        raise TypeErrorValue("matvec expects a matrix", node.start, node.end)
-    vec = ev.scalar_list(node.args[1])
-    return Series(m.apply(vec))
+def _of(kind, what):
+    """A value of type ``kind``, else "{name} expects {what}" over the call.
+    A production matrix passes for the recurrence it determines."""
+
+    def read(ev, call, arg, p):
+        v = ev.value(arg, p)
+        if isinstance(v, triangles.SquareMatrix) and kind is triangles.RecurrenceCoeffs:
+            v = triangles.recurrence_from_production(v)
+        if not isinstance(v, kind):
+            raise TypeErrorValue(
+                f"{call.name} expects {what}", call.start, call.end
+            )
+        return v
+
+    return read
 
 
-def _b_integ(ev, node, p):
-    _need(node, 1)
-    return ev.series(node.args[0], max(p - 1, 0)).integrate()
+def _builtin(fn, *readers, optional=0):
+    """The handler that checks the arity, reads the arguments and applies
+    ``fn``; the last ``optional`` arguments may be left to fn's defaults."""
+    most = len(readers)
+    least = most - optional
+
+    def handler(ev: _Evaluator, node: Call, p: int):
+        k = len(node.args)
+        if not least <= k <= most:
+            want = f"{least} or {most} arguments" if optional else f"{most} argument(s)"
+            raise ArityError(
+                f"{node.name} expects {want}, got {k}", node.start, node.end
+            )
+        args = [
+            None if isinstance(read, _Sized) else read(ev, node, arg, p)
+            for read, arg in zip(readers, node.args)
+        ]
+        for i, read in enumerate(readers[:k]):
+            if isinstance(read, _Sized):
+                n = args[readers.index(_count)]
+                args[i] = ev.series(node.args[i], read.rule(n))
+        return fn(*args)
+
+    return handler
 
 
 _BUILTINS = {
-    "P": _b_pipeline,
-    "partialP": _b_partial,
-    "reverseP": _b_reverse_p,
-    "sumudu": _series_op(transforms.sumudu),
-    "isumudu": _series_op(transforms.inverse_sumudu),
-    "invert": _b_invert,
-    "binom": _b_binom,
-    "ibinom": _b_ibinom,
-    "revert": _series_op(Series.revert),
-    "gfrev": _series_op(Series.gf_revert),
-    "logd": _series_op(Series.log_derivative, extra_prec=1),
-    "diff": _series_op(Series.derivative, extra_prec=1),
-    "integ": _b_integ,
-    "log": _series_op(Series.log),
-    "exp": _series_op(Series.exp),
-    "powq": _b_powq,
-    "cosh": _b_cosh,
-    "sinh": _b_sinh,
-    "jfrac": _b_jfrac,
-    "sfrac": _b_sfrac,
-    "tojfrac": _b_tojfrac,
-    "tosfrac": _b_tosfrac,
-    "contract": _b_contract,
-    "deleham": _b_deleham,
-    "deleham1": _b_deleham1,
-    "tinv": _b_tinv,
-    "tfwd": _b_tfwd,
-    "triangle": _b_triangle,
-    "reverse": _b_reverse,
-    "matmul": _b_matmul,
-    "inv": _b_inv,
-    "Bmat": _b_bmat,
-    "riordan": _riordan("ordinary"),
-    "eriordan": _riordan("exponential"),
-    "rapply": _b_rapply,
-    "prodmat": _b_prodmat,
-    "recurrence": _b_recurrence,
-    "orthopoly": _b_orthopoly,
-    "oracle": _b_oracle,
-    "oracletri": _b_oracletri,
-    "matrix": _b_matrix,
-    "matvec": _b_matvec,
+    "P": _builtin(transforms.pipeline_P, _ser_up),
+    "partialP": _builtin(transforms.partial_P, _ser_up),
+    "reverseP": _builtin(transforms.reverse_P, _ser),
+    "sumudu": _builtin(transforms.sumudu, _ser),
+    "isumudu": _builtin(transforms.inverse_sumudu, _ser),
+    "invert": _builtin(transforms.invert_transform, _ser, _scalar),
+    "binom": _builtin(lambda f: transforms.binomial_transform(f, "forward"), _ser),
+    "ibinom": _builtin(lambda f: transforms.binomial_transform(f, "inverse"), _ser),
+    "revert": _builtin(Series.revert, _ser),
+    "gfrev": _builtin(Series.gf_revert, _ser),
+    "logd": _builtin(Series.log_derivative, _ser_up),
+    "diff": _builtin(Series.derivative, _ser_up),
+    "integ": _builtin(Series.integrate, _ser_down),
+    "log": _builtin(Series.log, _ser),
+    "exp": _builtin(Series.exp, _ser),
+    "powq": _builtin(Series.pow_rational, _ser, _rational),
+    "cosh": _builtin(lambda f: (f.exp() + (-f).exp()) / 2, _ser),
+    "sinh": _builtin(lambda f: (f.exp() - (-f).exp()) / 2, _ser),
+    "jfrac": _builtin(cfrac.JFraction, _scalars, _scalars),
+    "sfrac": _builtin(cfrac.SFraction, _scalars),
+    "tojfrac": _builtin(cfrac.series_to_jfrac, _ser_order),
+    "tosfrac": _builtin(cfrac.series_to_sfrac, _ser_order),
+    "contract": _builtin(
+        cfrac.contract_s_to_j, _of(cfrac.SFraction, "a Stieltjes fraction")
+    ),
+    "deleham": _builtin(cfrac.deleham, _scalars, _scalars, _count),
+    "deleham1": _builtin(cfrac.deleham_delta1, _scalars, _scalars, _count),
+    "tinv": _builtin(cfrac.t_inverse, _scalar, _scalar, _scalar, _count),
+    "tfwd": _builtin(
+        cfrac.t_forward_image, _of(cfrac.JFraction, "a Jacobi fraction")
+    ),
+    "triangle": _builtin(
+        triangles.triangle_from_gf, _Sized(lambda n: n), _count, _mode, optional=1
+    ),
+    "reverse": _builtin(triangles.reversal, _tri),
+    "matmul": _builtin(triangles.matmul, _tri, _tri),
+    "inv": _builtin(triangles.tri_inverse, _tri),
+    "Bmat": _builtin(triangles.binomial_matrix, _count),
+    "riordan": _builtin(
+        lambda g, f, n: triangles.riordan_to_triangle(
+            triangles.RiordanArray(g, f, "ordinary"), n
+        ),
+        _Sized(lambda n: max(n, 2)), _Sized(lambda n: max(n, 2)), _count,
+    ),
+    "eriordan": _builtin(
+        lambda g, f, n: triangles.riordan_to_triangle(
+            triangles.RiordanArray(g, f, "exponential"), n
+        ),
+        _Sized(lambda n: max(n, 2)), _Sized(lambda n: max(n, 2)), _count,
+    ),
+    "rapply": _builtin(
+        lambda g, f, h: triangles.riordan_apply(
+            triangles.RiordanArray(g, f, "ordinary"), h
+        ),
+        _ser, _ser, _ser,
+    ),
+    "prodmat": _builtin(
+        lambda g, f, n: triangles.production_matrix(
+            triangles.RiordanArray(g, f, "exponential"), n
+        ),
+        _Sized(lambda n: n + 2), _Sized(lambda n: n + 2), _count,
+    ),
+    "recurrence": _builtin(
+        triangles.recurrence_from_production,
+        _of(triangles.SquareMatrix, "a production matrix"),
+    ),
+    "orthopoly": _builtin(
+        triangles.orthopoly_triangle,
+        _of(triangles.RecurrenceCoeffs, "a production matrix or recurrence"),
+        _count,
+    ),
+    "oracle": _builtin(triangles.oracle, _name, _integer, _integer),
+    "oracletri": _builtin(triangles.oracle_triangle, _name, _count),
+    "matrix": _builtin(triangles.SquareMatrix, _rows),
+    "matvec": _builtin(
+        lambda m, vec: Series(m.apply(vec)),
+        _of(triangles.SquareMatrix, "a matrix"), _scalars,
+    ),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))

@@ -610,8 +610,9 @@ _BUILTINS = {
     "log": _builtin(Series.log, _ser),
     "exp": _builtin(Series.exp, _ser),
     "powq": _builtin(Series.pow_rational, _ser, _rational),
-    "cosh": _builtin(lambda f: (f.exp() + (-f).exp()) / 2, _ser),
-    "sinh": _builtin(lambda f: (f.exp() - (-f).exp()) / 2, _ser),
+    # one exp each: exp(-f) = 1/exp(f)
+    "cosh": _builtin(lambda f: ((e := f.exp()) + 1 / e) / 2, _ser),
+    "sinh": _builtin(lambda f: ((e := f.exp()) - 1 / e) / 2, _ser),
     "jfrac": _builtin(cfrac.JFraction, _scalars, _scalars),
     "sfrac": _builtin(cfrac.SFraction, _scalars),
     "tojfrac": _builtin(cfrac.series_to_jfrac, _ser_order),

@@ -211,6 +211,15 @@ class TestEval:
         with pytest.raises(NonUnitConstantTerm):
             evaluate_text("log(x)", Env(order=4))
 
+    @pytest.mark.parametrize("name,parity", [("cosh", 0), ("sinh", 1)])
+    def test_cosh_sinh_of_rx(self, name, parity):
+        v = evaluate_text(f"{name}(r*x)", Env(order=9))
+        assert v.prec == 9
+        term = fe(1)
+        for n in range(9):
+            assert v[n] == (term if n % 2 == parity else fe(0)), n
+            term = term * R / (n + 1)
+
     def test_determinism(self):
         a = evaluate_text("sumudu(P((1+x^2)/(1-x^2)))", Env(order=7))
         b = evaluate_text("sumudu(P((1+x^2)/(1-x^2)))", Env(order=7))

@@ -15,7 +15,7 @@ from .cfrac import (
     t_inverse,
 )
 from .ratfun import ONE, R, ZERO, FieldElem, fe
-from .series import Series, compose, divide, from_ratfun, gf_revert, revert
+from .series import Series, divide, from_ratfun
 from .transforms import (
     PipelineTrace,
     binomial_transform,

@@ -128,11 +128,17 @@ class Series:
         return divide(_as_series(other, self.prec), self)
 
     def __pow__(self, e: int):
+        """Square-and-multiply over the bits of e below the leading one:
+        one squaring per bit, one more product per set bit."""
         if not isinstance(e, int) or e < 0:
             raise TypeError("use pow_rational for non-integer powers")
-        acc = Series.one(self.prec)
-        for _ in range(e):
-            acc = acc * self
+        if e == 0:
+            return Series.one(self.prec)
+        acc = self
+        for bit in bin(e)[3:]:
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
     # -- calculus ------------------------------------------------------
@@ -281,14 +287,3 @@ def from_ratfun(num: Sequence, den: Sequence, prec: int) -> Series:
         out.append((s - dot(out[::-1], den[1:])) * d0inv)
     return Series(out)
 
-
-def compose(g: Series, f: Series) -> Series:
-    return g.compose(f)
-
-
-def revert(f: Series) -> Series:
-    return f.revert()
-
-
-def gf_revert(g: Series) -> Series:
-    return g.gf_revert()

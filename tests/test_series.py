@@ -70,6 +70,26 @@ class TestRingOps:
         with pytest.raises(NonUnitConstantTerm):
             S(1, 1) / S(0, 1)
 
+    def test_integer_power_by_squaring(self, monkeypatch):
+        f = Series([fe(1), R, fe(Fraction(1, 2)), R * R - 1, fe(3)])
+        acc = Series.one(f.prec)
+        for e in range(18):
+            assert f ** e == acc, e
+            acc = acc * f
+        products = []
+        mul = Series.__mul__
+        monkeypatch.setattr(Series, "__mul__",
+                            lambda a, b: products.append(1) or mul(a, b))
+        for e, count in [(0, 0), (1, 0), (2, 1), (3, 2), (64, 6), (63, 10)]:
+            products.clear()
+            f ** e
+            assert len(products) == count, e
+
+    @pytest.mark.parametrize("e", [-1, 2.0, Fraction(1, 2)])
+    def test_integer_power_rejects_other_exponents(self, e):
+        with pytest.raises(TypeError):
+            S(1, 1) ** e
+
 
 class TestCompose:
     def test_identity_inner(self):

@@ -16,7 +16,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import fixtures as fixtures_mod
 from .dsl import Env, evaluate, parse
 from .errors import EngineError, ExprError, ParseError
 from .formats import format_value
@@ -97,14 +96,16 @@ def cli_main(argv=None) -> int:
             print(format_value(tri, args.format))
             return 0
 
-        # fixtures
+        # fixtures: imported here, so eval and triangle do not pay for it
+        from . import fixtures
+
         if args.list_only:
-            for fx in fixtures_mod.all_fixtures():
+            for fx in fixtures.all_fixtures():
                 print(f"{fx.id}\t{fx.source}")
             return 0
         ids = args.run if args.run else None
-        report = fixtures_mod.run_fixtures(ids)
-        print(fixtures_mod.render_report(report, args.format))
+        report = fixtures.run_fixtures(ids)
+        print(fixtures.render_report(report, args.format))
         return 0 if report.all_passed else 1
 
     except ExprError as exc:

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -467,3 +469,9 @@ def test_every_builtin_has_pinned_diagnostics():
 
     assert names(BUILTIN_ARITY) == set(BUILTIN_NAMES)
     assert names(BUILTIN_WRONG_KIND) == set(BUILTIN_NAMES)
+
+
+def test_readme_lists_every_builtin():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = readme.split("Builtins:", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(BUILTIN_NAMES)

@@ -377,7 +377,31 @@ def test_exp_matches_the_per_term_loop(f):
     assert forms(f.exp()) == forms(exp_oracle(f))
 
 
-# -- differential test against sympy's ring_series over QQ(r) ----------------------
+# -- differential tests against sympy's ring_series over QQ(r) ---------------------
+
+
+def sympy_qr(names):
+    """sympy's QQ(r)[names], its generators, and maps of gfpipe values into it."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring
+
+    K = sympy.QQ.frac_field(sympy.Symbol("r"))
+    r = K.gens[0]
+    ring_, *gens = ring(names, K)
+
+    def to_k(c):
+        num = sum((k * r**i for i, k in enumerate(c.num)), K.zero)
+        den = sum((k * r**i for i, k in enumerate(c.den)), K.zero)
+        return num / den
+
+    def to_ring(f, x):
+        return sum((to_k(c) * x**i for i, c in enumerate(f)), ring_.zero)
+
+    return to_k, to_ring, gens
+
+
+def coeffs_of(p, x, n):
+    return [p.coeff(x**i) for i in range(n)]
 
 
 @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
@@ -385,28 +409,28 @@ def test_exp_matches_the_per_term_loop(f):
     series_of(n, st.just(ZERO)))))
 @settings(max_examples=15, deadline=None)
 def test_against_sympy_ring_series(abf):
-    sympy = pytest.importorskip("sympy")
+    to_k, to_ring, (x,) = sympy_qr("x")
     from sympy.polys.ring_series import rs_exp, rs_mul, rs_series_inversion
-    from sympy.polys.rings import ring
-
-    K = sympy.QQ.frac_field(sympy.Symbol("r"))
-    Rx, x = ring("x", K)
-    r = K.gens[0]
-
-    def to_k(c):
-        num = sum((k * r**i for i, k in enumerate(c.num)), K.zero)
-        den = sum((k * r**i for i, k in enumerate(c.den)), K.zero)
-        return num / den
-
-    def to_ring(f):
-        return sum((to_k(c) * x**i for i, c in enumerate(f)), Rx.zero)
-
-    def coeffs_of(p, n):
-        return [p.coeff(x**i) for i in range(n)]
 
     a, b, f = abf
     n = a.prec
-    assert [to_k(c) for c in a * b] == coeffs_of(rs_mul(to_ring(a), to_ring(b), x, n), n)
+    assert [to_k(c) for c in a * b] == \
+        coeffs_of(rs_mul(to_ring(a, x), to_ring(b, x), x, n), x, n)
     assert [to_k(c) for c in divide(Series.one(n), b)] == \
-        coeffs_of(rs_series_inversion(to_ring(b), x, n), n)
-    assert [to_k(c) for c in f.exp()] == coeffs_of(rs_exp(to_ring(f), x, n), n)
+        coeffs_of(rs_series_inversion(to_ring(b, x), x, n), x, n)
+    assert [to_k(c) for c in f.exp()] == coeffs_of(rs_exp(to_ring(f, x), x, n), x, n)
+
+
+@given(st.integers(2, 10).flatmap(lambda n: st.tuples(
+    series_of(n - 1, nonzero_field_elems(max_deg=1)), series_of(n, st.just(ONE)))))
+@settings(max_examples=10, deadline=None)
+def test_revert_and_log_against_sympy_ring_series(wg):
+    to_k, to_ring, (x, y) = sympy_qr("x,y")
+    from sympy.polys.ring_series import rs_log, rs_series_reversion
+
+    w, g = wg
+    f = Series([ZERO, *w])  # f = x*w with w(0) != 0, so f is reversible
+    n = f.prec
+    assert [to_k(c) for c in f.revert()] == \
+        coeffs_of(rs_series_reversion(to_ring(f, x), x, n, y), y, n)
+    assert [to_k(c) for c in g.log()] == coeffs_of(rs_log(to_ring(g, x), x, n), x, n)

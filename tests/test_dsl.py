@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gfpipe.cfrac import JFraction
+from gfpipe.cfrac import JFraction, SFraction
 from gfpipe.dsl import (
     BUILTIN_NAMES,
     MAX_DEPTH,
@@ -19,6 +19,7 @@ from gfpipe.dsl import (
     evaluate_text,
     parse,
     pretty,
+    substitute_value,
 )
 from gfpipe.errors import (
     ArityError,
@@ -31,7 +32,7 @@ from gfpipe.formats import format_value, from_json, to_json
 from gfpipe.ratfun import R, fe
 from gfpipe.series import Series
 from gfpipe.transforms import sumudu
-from gfpipe.triangles import Triangle
+from gfpipe.triangles import RecurrenceCoeffs, SquareMatrix, Triangle
 
 
 def ints(series):
@@ -306,6 +307,58 @@ class TestFormats:
         v = evaluate_text("jfrac([1,4],[2])", Env(order=4))
         out = format_value(v, "table")
         assert out.splitlines()[0].startswith("b:")
+
+    # One Q(r)-valued instance of each value kind: its exact table, csv and
+    # json renderings, and the table after substituting r = 2.
+    @pytest.mark.parametrize("value, table, csv, json, at_two", [
+        (Series([1, 1 / (R + 1), -R * R, 10]),
+         "1, 1/(r + 1), -r^2, 10",
+         "1,1/(r + 1),-r^2,10\n",
+         '{"kind":"series","order":4,"entries":'
+         '[["1"],{"num":["1"],"den":["1","1"]},["0","0","-1"],["10"]]}',
+         "1, 1/3, -4, 10"),
+        (Triangle([[1], [R, -1], [R / (R + 1), 10, R * R]]),
+         "        1\n        r,  -1\nr/(r + 1),  10,  r^2",
+         "1\nr,-1\nr/(r + 1),10,r^2\n",
+         '{"kind":"triangle","rows":3,"entries":[[["1"]],[["0","1"],["-1"]],'
+         '[{"num":["0","1"],"den":["1","1"]},["10"],["0","0","1"]]]}',
+         "  1\n  2,  -1\n2/3,  10,  4"),
+        (SquareMatrix([[1, R], [fe(Fraction(-1, 2)), 10 * R + 1]]),
+         "   1,        r\n-1/2,  10r + 1",
+         "1,r\n-1/2,10r + 1\n",
+         '{"kind":"matrix","rows":2,"entries":[[["1"],["0","1"]],'
+         '[{"num":["-1"],"den":["2"]},["1","10"]]]}',
+         "   1,   2\n-1/2,  21"),
+        (JFraction([R, 1 / (R + 1)], [-10 * R]),
+         "b:      r, 1/(r + 1)\nlambda: -10r",
+         "r,1/(r + 1)\n-10r\n",
+         '{"kind":"jfrac","entries":'
+         '[[["0","1"],{"num":["1"],"den":["1","1"]}],[["0","-10"]]]}',
+         "b:      2, 1/3\nlambda: -20"),
+        (SFraction([1, R / (R - 1), 10]),
+         "1,  r/(r - 1),  10",
+         "1,r/(r - 1),10\n",
+         '{"kind":"sfrac","entries":'
+         '[["1"],{"num":["0","1"],"den":["-1","1"]},["10"]]}',
+         "1,  2,  10"),
+        (RecurrenceCoeffs([R, 10], [R / (R + 1)]),
+         "alpha: r, 10\nbeta:  r/(r + 1)",
+         "r,10\nr/(r + 1)\n",
+         '{"kind":"recurrence","entries":'
+         '[[["0","1"],["10"]],[{"num":["0","1"],"den":["1","1"]}]]}',
+         "alpha: 2, 10\nbeta:  2/3"),
+        (R / (R + 1) - 10,
+         "(-9r - 10)/(r + 1)",
+         "(-9r - 10)/(r + 1)\n",
+         '{"kind":"fieldelem","entries":{"num":["-10","-9"],"den":["1","1"]}}',
+         "-28/3"),
+    ], ids=["series", "triangle", "matrix", "jfrac", "sfrac", "recurrence",
+            "fieldelem"])
+    def test_each_kind_renders_exactly(self, value, table, csv, json, at_two):
+        assert format_value(value, "table") == table
+        assert format_value(value, "csv") == csv
+        assert format_value(value, "json") == json
+        assert format_value(substitute_value(value, Fraction(2)), "table") == at_two
 
 
 # Every builtin's diagnostics, pinned: (text, class, message, start, span).

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .dsl import Env, evaluate, parse
 from .errors import EngineError, ExprError, ParseError
-from .formats import format_value
+from .formats import format_value, substitute_value
 from .triangles import triangle_from_gf
 
 
@@ -82,17 +82,17 @@ def cli_main(argv=None) -> int:
 
     try:
         if args.command == "eval":
-            env = Env(order=args.order, r_value=args.set_r, format=args.format)
+            env = Env(order=args.order, r_value=args.set_r)
             value = evaluate(parse(args.expr), env)
             print(format_value(value, args.format))
             return 0
 
         if args.command == "triangle":
-            env = Env(order=max(args.rows, 1), r_value=None, format=args.format)
+            env = Env(order=max(args.rows, 1), r_value=None)
             gf = evaluate(parse(args.expr), env)
             tri = triangle_from_gf(gf, args.rows, args.mode)
             if args.set_r is not None:
-                tri = tri.substitute(args.set_r)
+                tri = substitute_value(tri, args.set_r)
             print(format_value(tri, args.format))
             return 0
 

@@ -23,6 +23,7 @@ from typing import Optional
 
 from . import cfrac, transforms, triangles
 from .errors import ArityError, EngineError, ParseError, TypeErrorValue
+from .formats import kind_name, substitute_value
 from .ratfun import FieldElem
 from .series import Series
 
@@ -328,13 +329,10 @@ class Env:
 
     order: int = 8
     r_value: Optional[Fraction] = None
-    format: str = "table"
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be at least 1")
-        if self.format not in ("table", "csv", "json"):
-            raise ValueError("format must be table, csv, or json")
 
 
 Value = object  # Series | Triangle | JFraction | SFraction | SquareMatrix |
@@ -361,7 +359,7 @@ class _Evaluator:
             v = Series.constant(v, p)
         if not isinstance(v, Series):
             raise TypeErrorValue(
-                f"expected a series, got {_kind_name(v)}", node.start, node.end
+                f"expected a series, got {kind_name(v)}", node.start, node.end
             )
         if v.prec < p:
             raise EngineError(
@@ -380,7 +378,7 @@ class _Evaluator:
         if isinstance(v, FieldElem):
             return v
         raise TypeErrorValue(
-            f"expected a scalar, got {_kind_name(v)}", node.start, node.end
+            f"expected a scalar, got {kind_name(v)}", node.start, node.end
         )
 
     # generic -------------------------------------------------------------
@@ -433,18 +431,6 @@ class _Evaluator:
                 )
             return handler(self, node, p)
         raise TypeErrorValue("cannot evaluate this node", node.start, node.end)
-
-
-def _kind_name(v: Value) -> str:
-    return {
-        Series: "series",
-        triangles.Triangle: "triangle",
-        triangles.SquareMatrix: "matrix",
-        triangles.RecurrenceCoeffs: "recurrence",
-        cfrac.JFraction: "jfrac",
-        cfrac.SFraction: "sfrac",
-        FieldElem: "fieldelem",
-    }.get(type(v), type(v).__name__)
 
 
 # -- builtins ----------------------------------------------------------------
@@ -545,7 +531,7 @@ def _tri(ev, call, arg, p):
     v = ev.value(arg, p)
     if not isinstance(v, triangles.Triangle):
         raise TypeErrorValue(
-            f"expected a triangle, got {_kind_name(v)}", arg.start, arg.end
+            f"expected a triangle, got {kind_name(v)}", arg.start, arg.end
         )
     return v
 
@@ -691,24 +677,3 @@ def evaluate(ast: Node, env: Env) -> Value:
 
 def evaluate_text(text: str, env: Env) -> Value:
     return evaluate(parse(text), env)
-
-
-def substitute_value(value: Value, r_value: Fraction) -> Value:
-    """Specialize the parameter r in a finished value, exactly."""
-    if isinstance(value, (Series, triangles.Triangle, triangles.SquareMatrix)):
-        return value.substitute(r_value)
-    if isinstance(value, FieldElem):
-        return value.substitute(r_value)
-    if isinstance(value, cfrac.JFraction):
-        return cfrac.JFraction(
-            [v.substitute(r_value) for v in value.b],
-            [v.substitute(r_value) for v in value.lam],
-        )
-    if isinstance(value, cfrac.SFraction):
-        return cfrac.SFraction([v.substitute(r_value) for v in value.s])
-    if isinstance(value, triangles.RecurrenceCoeffs):
-        return triangles.RecurrenceCoeffs(
-            [v.substitute(r_value) for v in value.alpha],
-            [v.substitute(r_value) for v in value.beta],
-        )
-    raise TypeErrorValue(f"cannot specialize {_kind_name(value)}")

@@ -22,15 +22,14 @@ from typing import Optional
 from .cfrac import JFraction, SFraction
 from .dsl import Env, evaluate, parse
 from .errors import EngineError, ExprError
+from .formats import build_value
 from .ratfun import FieldElem, fe
-from .series import Series
-from .triangles import SquareMatrix, Triangle
 
 
 @dataclass(frozen=True)
 class Fixture:
     id: str
-    kind: str          # series | triangle | matrix | jfrac | sfrac
+    kind: str          # a value kind of formats.KINDS
     build: str         # expression text
     expected: object   # literal data, see module docstring
     source: str
@@ -50,18 +49,7 @@ def _lit(v) -> FieldElem:
 
 
 def decode_expected(fx: Fixture):
-    if fx.kind == "series":
-        return Series([_lit(v) for v in fx.expected])
-    if fx.kind == "triangle":
-        return Triangle([[_lit(v) for v in row] for row in fx.expected])
-    if fx.kind == "matrix":
-        return SquareMatrix([[_lit(v) for v in row] for row in fx.expected])
-    if fx.kind == "jfrac":
-        b, lam = fx.expected
-        return JFraction([_lit(v) for v in b], [_lit(v) for v in lam])
-    if fx.kind == "sfrac":
-        return SFraction([_lit(v) for v in fx.expected])
-    raise ValueError(f"bad fixture kind {fx.kind!r}")
+    return build_value(fx.kind, fx.expected, _lit)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,21 @@ descending powers of r with explicit signs), ``csv`` (one row per line,
 minimal quoting), and ``json`` (loss-free; every coefficient is carried as
 decimal strings of unbounded size).  JSON writing is deterministic, so
 decode-then-encode is byte-identical.
+
+Each kind of value (series, triangle, matrix, J- and S-fraction,
+recurrence, single coefficient) is one row of ``KINDS``: its class, JSON
+name, how deep its entries nest, how to read and rebuild them, and its
+table layout.  Serialization, rendering, the kind names of diagnostics
+and the substitution of r all run off that table, so a new kind is one
+row.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .cfrac import JFraction, SFraction
 from .errors import TypeErrorValue
@@ -19,7 +28,7 @@ from .series import Series
 from .triangles import RecurrenceCoeffs, SquareMatrix, Triangle
 
 
-# -- JSON encoding ------------------------------------------------------------
+# -- coefficients -------------------------------------------------------------
 
 
 def _enc_fe(v: FieldElem):
@@ -39,70 +48,83 @@ def _dec_fe(obj) -> FieldElem:
     raise ValueError(f"not a coefficient encoding: {obj!r}")
 
 
+# -- value kinds --------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """One kind of engine value and its layout."""
+
+    cls: type
+    name: str          # the JSON "kind"
+    depth: int         # entries: 0 one coefficient, 1 a list, 2 a list of lists
+    entries: Callable  # value -> entries
+    build: Callable    # entries -> value
+    size: str = ""     # the JSON field holding len(entries), if any
+    labels: tuple = ()  # table row prefixes, rows joined by ", "; else _aligned
+
+
+KINDS = (
+    Kind(Series, "series", 1, lambda v: v.coeffs, Series, "order", ("",)),
+    Kind(Triangle, "triangle", 2, lambda v: v.rows, Triangle, "rows"),
+    Kind(SquareMatrix, "matrix", 2, lambda v: v.rows, SquareMatrix, "rows"),
+    Kind(JFraction, "jfrac", 2, lambda v: (v.b, v.lam), lambda e: JFraction(*e),
+         labels=("b:      ", "lambda: ")),
+    Kind(SFraction, "sfrac", 1, lambda v: v.s, SFraction),
+    Kind(RecurrenceCoeffs, "recurrence", 2, lambda v: (v.alpha, v.beta),
+         lambda e: RecurrenceCoeffs(*e), labels=("alpha: ", "beta:  ")),
+    Kind(FieldElem, "fieldelem", 0, lambda v: v, lambda e: e, labels=("",)),
+)
+
+
+def _kind(value, doing: str) -> Kind:
+    for k in KINDS:
+        if isinstance(value, k.cls):
+            return k
+    raise TypeErrorValue(f"cannot {doing} {type(value).__name__}")
+
+
+def _map(fn, entries, depth: int):
+    """fn applied to every coefficient of entries nested ``depth`` deep."""
+    if depth == 0:
+        return fn(entries)
+    return [_map(fn, e, depth - 1) for e in entries]
+
+
+def kind_name(value) -> str:
+    return next((k.name for k in KINDS if isinstance(value, k.cls)),
+                type(value).__name__)
+
+
+def build_value(kind: str, entries, leaf):
+    """The value of the named kind whose coefficients are ``leaf`` of
+    those in ``entries``."""
+    for k in KINDS:
+        if k.name == kind:
+            return k.build(_map(leaf, entries, k.depth))
+    raise ValueError(f"unknown value kind {kind!r}")
+
+
+def substitute_value(value, r_value: Fraction):
+    """Specialize the parameter r in a finished value, exactly."""
+    k = _kind(value, "specialize")
+    return k.build(_map(lambda c: c.substitute(r_value), k.entries(value), k.depth))
+
+
+# -- JSON ---------------------------------------------------------------------
+
+
 def to_jsonable(value) -> dict:
-    if isinstance(value, Series):
-        return {
-            "kind": "series",
-            "order": value.prec,
-            "entries": [_enc_fe(c) for c in value.coeffs],
-        }
-    if isinstance(value, Triangle):
-        return {
-            "kind": "triangle",
-            "rows": value.n_rows,
-            "entries": [[_enc_fe(c) for c in row] for row in value.rows],
-        }
-    if isinstance(value, SquareMatrix):
-        return {
-            "kind": "matrix",
-            "rows": value.size,
-            "entries": [[_enc_fe(c) for c in row] for row in value.rows],
-        }
-    if isinstance(value, JFraction):
-        return {
-            "kind": "jfrac",
-            "entries": [
-                [_enc_fe(c) for c in value.b],
-                [_enc_fe(c) for c in value.lam],
-            ],
-        }
-    if isinstance(value, SFraction):
-        return {"kind": "sfrac", "entries": [_enc_fe(c) for c in value.s]}
-    if isinstance(value, RecurrenceCoeffs):
-        return {
-            "kind": "recurrence",
-            "entries": [
-                [_enc_fe(c) for c in value.alpha],
-                [_enc_fe(c) for c in value.beta],
-            ],
-        }
-    if isinstance(value, FieldElem):
-        return {"kind": "fieldelem", "entries": _enc_fe(value)}
-    raise TypeErrorValue(f"cannot serialize {type(value).__name__}")
+    k = _kind(value, "serialize")
+    entries = k.entries(value)
+    out = {"kind": k.name}
+    if k.size:
+        out[k.size] = len(entries)
+    out["entries"] = _map(_enc_fe, entries, k.depth)
+    return out
 
 
 def from_jsonable(obj: dict):
-    kind = obj.get("kind")
-    entries = obj.get("entries")
-    if kind == "series":
-        return Series([_dec_fe(c) for c in entries])
-    if kind == "triangle":
-        return Triangle([[_dec_fe(c) for c in row] for row in entries])
-    if kind == "matrix":
-        return SquareMatrix([[_dec_fe(c) for c in row] for row in entries])
-    if kind == "jfrac":
-        return JFraction(
-            [_dec_fe(c) for c in entries[0]], [_dec_fe(c) for c in entries[1]]
-        )
-    if kind == "sfrac":
-        return SFraction([_dec_fe(c) for c in entries])
-    if kind == "recurrence":
-        return RecurrenceCoeffs(
-            [_dec_fe(c) for c in entries[0]], [_dec_fe(c) for c in entries[1]]
-        )
-    if kind == "fieldelem":
-        return _dec_fe(entries)
-    raise ValueError(f"unknown value kind {kind!r}")
+    return build_value(obj.get("kind"), obj.get("entries"), _dec_fe)
 
 
 def to_json(value) -> str:
@@ -144,30 +166,15 @@ def format_value(value, fmt: str = "table") -> str:
     """Render a value; table and csv are for reading, json is for reloading."""
     if fmt == "json":
         return to_json(value)
-    if isinstance(value, Series):
-        rows = [list(value.coeffs)]
-    elif isinstance(value, (Triangle, SquareMatrix)):
-        rows = [list(r) for r in value.rows]
-    elif isinstance(value, JFraction):
-        if fmt == "table":
-            return "b:      " + ", ".join(str(v) for v in value.b) + "\n" + \
-                   "lambda: " + ", ".join(str(v) for v in value.lam)
-        rows = [list(value.b), list(value.lam)]
-    elif isinstance(value, SFraction):
-        rows = [list(value.s)]
-    elif isinstance(value, RecurrenceCoeffs):
-        if fmt == "table":
-            return "alpha: " + ", ".join(str(v) for v in value.alpha) + "\n" + \
-                   "beta:  " + ", ".join(str(v) for v in value.beta)
-        rows = [list(value.alpha), list(value.beta)]
-    elif isinstance(value, FieldElem):
-        rows = [[value]]
-    else:
-        raise TypeErrorValue(f"cannot format {type(value).__name__}")
+    k = _kind(value, "format")
+    rows = k.entries(value)
+    for _ in range(2 - k.depth):
+        rows = [rows]
     if fmt == "csv":
         return _csv_rows(rows)
-    if isinstance(value, Series):
-        return ", ".join(str(v) for v in value.coeffs)
-    if isinstance(value, FieldElem):
-        return str(value)
+    if k.labels:
+        return "\n".join(
+            label + ", ".join(str(v) for v in row)
+            for label, row in zip(k.labels, rows)
+        )
     return _aligned(rows)

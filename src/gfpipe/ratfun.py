@@ -66,10 +66,6 @@ def pneg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pneg(b))
-
-
 def pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return PZERO

@@ -68,9 +68,6 @@ class Triangle:
     def truncate(self, rows: int) -> "Triangle":
         return Triangle(self.rows[:rows])
 
-    def substitute(self, value: Fraction) -> "Triangle":
-        return Triangle([[v.substitute(value) for v in row] for row in self.rows])
-
 
 class SquareMatrix:
     """Dense square matrix of Q(r) entries (production-matrix truncations)."""
@@ -107,11 +104,6 @@ class SquareMatrix:
         if len(vec) != self.size:
             raise ValueError("vector length must match matrix size")
         return tuple(dot(row, vec) for row in self.rows)
-
-    def substitute(self, value: Fraction) -> "SquareMatrix":
-        return SquareMatrix(
-            [[v.substitute(value) for v in row] for row in self.rows]
-        )
 
 
 @dataclass(frozen=True)
@@ -444,5 +436,3 @@ def oracle_triangle(name: str, rows: int) -> Triangle:
         [[oracle(name, n, k) for k in range(n + 1)] for n in range(rows)]
     )
 
-
-ORACLE_NAMES = tuple(sorted(_ORACLES))

@@ -135,7 +135,7 @@ def series_to_jfrac(f: Series) -> JFraction:
         if lam.is_zero():
             if any(not c.is_zero() for c in rest):
                 raise DegenerateCfrac(
-                    "weight vanished while later coefficients are nonzero"
+                    "partial numerator vanished with a nonzero remainder"
                 )
             break
         lams.append(lam)
@@ -144,23 +144,24 @@ def series_to_jfrac(f: Series) -> JFraction:
 
 
 def series_to_sfrac(f: Series) -> SFraction:
-    """Expand f as a Stieltjes fraction, one coefficient per order."""
-    if not f.coeffs or not f.coeffs[0].is_one():
-        raise NonUnitConstantTerm("fraction expansion needs f(0) = 1")
+    """Expand f as a Stieltjes fraction, one coefficient per order, by
+    undoing the even contraction of its Jacobi fraction: s1 = b0,
+    s[2k] = lam_k / s[2k-1], s[2k+1] = b_k - s[2k].  A zero odd entry
+    ends the fraction where the J-fraction ends, and is a degeneracy
+    anywhere else."""
+    J = series_to_jfrac(f)
     ss = []
-    cur = f
-    while cur.prec >= 2:
-        u = Series.one(cur.prec) - divide(Series.one(cur.prec), cur)
-        rest = u.coeffs[1:]
-        s = rest[0]
-        if s.is_zero():
-            if any(not c.is_zero() for c in rest):
-                raise DegenerateCfrac(
-                    "partial numerator vanished with a nonzero remainder"
-                )
-            break
-        ss.append(s)
-        cur = Series([c / s for c in rest])
+    for k, b in enumerate(J.b):
+        odd = b - ss[-1] if ss else b
+        if odd.is_zero():
+            if k == len(J.lam):
+                break
+            raise DegenerateCfrac(
+                "partial numerator vanished with a nonzero remainder"
+            )
+        ss.append(odd)
+        if k < len(J.lam):
+            ss.append(J.lam[k] / odd)
     return SFraction(ss)
 
 

@@ -356,3 +356,56 @@ class TestTableau:
             bottom_up_jfrac(J, prec)
         with pytest.raises(InsufficientDepth):
             jfrac_to_series(J, prec)
+
+
+def reciprocal_strip_sfrac(f):
+    """The S-fraction by one reciprocal-and-strip per entry."""
+    if not f.coeffs or not f.coeffs[0].is_one():
+        raise NonUnitConstantTerm("fraction expansion needs f(0) = 1")
+    ss = []
+    cur = f
+    while cur.prec >= 2:
+        u = Series.one(cur.prec) - divide(Series.one(cur.prec), cur)
+        rest = u.coeffs[1:]
+        s = rest[0]
+        if s.is_zero():
+            if any(not c.is_zero() for c in rest):
+                raise DegenerateCfrac(
+                    "partial numerator vanished with a nonzero remainder"
+                )
+            break
+        ss.append(s)
+        cur = Series([c / s for c in rest])
+    return SFraction(ss)
+
+
+def sfrac_or_error(expand, f):
+    try:
+        return expand(f)
+    except (DegenerateCfrac, NonUnitConstantTerm) as exc:
+        return type(exc)
+
+
+# mostly zeros, so that terminations and degeneracies are common
+sparse_tails = st.lists(
+    st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, fe(2), R, R + 1]), max_size=9)
+
+
+class TestSfracFromJfrac:
+    @given(sparse_tails)
+    @example([])
+    @example([ZERO])
+    @example([ZERO, ZERO, ONE])          # degenerate at s1
+    @example([ONE, ONE, ONE])            # 1/(1-x) terminates after s1
+    @example([ONE, ONE, ZERO, ONE])      # degenerate at s2
+    @example([ONE, ZERO, ZERO, ZERO])    # 1+x: s2 = -1, s3 = 1, then ends
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reciprocal_and_strip(self, tail):
+        f = Series([ONE, *tail])
+        assert sfrac_or_error(series_to_sfrac, f) == sfrac_or_error(
+            reciprocal_strip_sfrac, f)
+
+    def test_needs_unit_constant(self):
+        for f in (Series([]), Series([2, 1])):
+            with pytest.raises(NonUnitConstantTerm):
+                series_to_sfrac(f)

@@ -276,14 +276,10 @@ def divide(a: Series, b: Series) -> Series:
 
 def from_ratfun(num: Sequence, den: Sequence, prec: int) -> Series:
     """Expand num/den, polynomials in the formal variable, to prec terms."""
-    num = _coerce_coeffs(num)
     den = _coerce_coeffs(den)
     if not den or den[0].is_zero():
         raise NonUnitConstantTerm("rational expansion needs den(0) != 0")
-    d0inv = den[0].inverse()
-    out = []
-    for m in range(prec):
-        s = num[m] if m < len(num) else ZERO
-        out.append((s - dot(out[::-1], den[1:])) * d0inv)
-    return Series(out)
+    prec = max(prec, 0)
+    pad = (ZERO,) * prec
+    return divide(Series((*num, *pad)[:prec]), Series((*den, *pad)[:prec]))
 

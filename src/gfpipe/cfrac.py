@@ -14,7 +14,8 @@ and can be expanded to any precision.
 
 Evaluation to a series runs one O(prec * depth) kernel, the Stieltjes
 tableau (weighted Motzkin paths); an S-fraction gets there through its
-even contraction.
+even contraction.  Expansion of a series runs one loop, for the
+J-fraction; the S-fraction is read off it by undoing the contraction.
 
 The module also provides the two-sequence triangle construction (partial
 numerators r_k x + s_k x y, with y carried by the parameter r), and the

@@ -114,6 +114,9 @@ class TestExpansion:
     def test_needs_unit_constant(self):
         with pytest.raises(NonUnitConstantTerm):
             series_to_jfrac(Series([2, 1, 1]))
+        for f in (Series([]), Series([2, 1])):
+            with pytest.raises(NonUnitConstantTerm):
+                series_to_sfrac(f)
 
 
 class TestContraction:
@@ -398,14 +401,9 @@ class TestSfracFromJfrac:
     @example([ZERO, ZERO, ONE])          # degenerate at s1
     @example([ONE, ONE, ONE])            # 1/(1-x) terminates after s1
     @example([ONE, ONE, ZERO, ONE])      # degenerate at s2
-    @example([ONE, ZERO, ZERO, ZERO])    # 1+x: s2 = -1, s3 = 1, then ends
+    @example([ONE, ZERO, ZERO, ZERO])    # 1+x: s1 = 1, s2 = -1, then ends
     @settings(max_examples=300, deadline=None)
     def test_matches_reciprocal_and_strip(self, tail):
         f = Series([ONE, *tail])
         assert sfrac_or_error(series_to_sfrac, f) == sfrac_or_error(
             reciprocal_strip_sfrac, f)
-
-    def test_needs_unit_constant(self):
-        for f in (Series([]), Series([2, 1])):
-            with pytest.raises(NonUnitConstantTerm):
-                series_to_sfrac(f)

@@ -14,6 +14,7 @@ one order, integration gains one.  Nothing is ever zero-padded silently.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -157,6 +158,11 @@ class Series:
     # -- composition and reversion --------------------------------------
 
     def compose(self, inner: "Series") -> "Series":
+        """self(inner) by Brent–Kung baby-step giant-step: with m about
+        sqrt(n), block j = sum_{i<m} f_(jm+i) inner^i takes one ``dot`` per
+        coefficient against the baby powers inner^0..inner^(m-1), and the
+        blocks are joined by Horner in inner^m.  About 2 sqrt(n) series
+        products in all."""
         if inner.prec and not inner.coeffs[0].is_zero():
             raise CompositionNeedsZeroConstant(
                 "inner series of a composition must have constant term 0"
@@ -164,30 +170,48 @@ class Series:
         n = min(self.prec, inner.prec)
         if n == 0:
             return Series([])
-        g = self.coeffs
-        acc = Series.constant(g[n - 1], n)
-        for k in range(n - 2, -1, -1):
-            acc = acc * inner
-            acc = Series([acc.coeffs[0] + g[k]] + list(acc.coeffs[1:]))
+        m = isqrt(n - 1) + 1
+        powers = [Series.one(n), inner.truncate(n)]
+        while len(powers) <= m:
+            powers.append(powers[-1] * powers[1])
+        columns = list(zip(*(p.coeffs for p in powers[:m])))
+        f = self.coeffs
+        acc = None
+        for j in range((n - 1) // m, -1, -1):
+            block = Series([dot(f[j * m : j * m + m], col) for col in columns])
+            acc = block if acc is None else acc * powers[m] + block
         return acc
 
     def revert(self) -> "Series":
-        """Compositional inverse: the unique u with self(u) = u(self) = x."""
+        """Compositional inverse: the unique u with self(u) = u(self) = x.
+
+        Lagrange inversion, [x^k] u = (1/k) [x^(k-1)] winv^k with
+        winv = x/self, by baby-step giant-step (Johansson 2015): keep
+        winv^0..winv^m for m about sqrt(n) and a giant power winv^(am);
+        each wanted coefficient is one ``dot`` of a giant prefix against a
+        reversed baby prefix.  About 2 sqrt(n) series products in all."""
         if self.prec and not self.coeffs[0].is_zero():
             raise NotReversible("reversion needs constant term 0")
-        if self.prec < 2 or self.coeffs[1].is_zero():
+        if self.prec < 2:
+            raise NotReversible("reversion needs at least two known coefficients")
+        if self.coeffs[1].is_zero():
             raise NotReversible("reversion needs a nonzero linear coefficient")
         n = self.prec
-        # Lagrange inversion: [x^k] u = (1/k) [x^{k-1}] (x/f)^k
         w = Series(self.coeffs[1:])  # f/x, unit constant term
         winv = divide(Series.one(n - 1), w)
+        m = isqrt(n - 1) or 1
+        baby = [Series.one(n - 1), winv]
+        while len(baby) <= m:
+            baby.append(baby[-1] * winv)
         out = [ZERO] * n
-        if n >= 2:
-            power = winv
-            out[1] = power.coeffs[0]
-            for k in range(2, n):
-                power = power * winv
-                out[k] = power.coeffs[k - 1] / k
+        giant = baby[0]
+        for k in range(1, n):
+            a, b = divmod(k, m)
+            if b == 0:
+                giant = giant * baby[m] if a > 1 else baby[m]
+                out[k] = giant.coeffs[k - 1] / k
+            else:
+                out[k] = dot(giant.coeffs[:k], baby[b].coeffs[k - 1 :: -1]) / k
         return Series(out)
 
     def gf_revert(self) -> "Series":

@@ -56,6 +56,16 @@ class TestEval:
         assert code == 1
         assert "vanishes" in err
 
+    @pytest.mark.parametrize("expr,order,cause", [
+        ("revert(x+x^2)", "1", "reversion needs at least two known coefficients"),
+        ("revert(x^2)", "8", "reversion needs a nonzero linear coefficient"),
+    ])
+    def test_reversion_diagnostic_names_the_cause(self, capsys, expr, order, cause):
+        code, out, err = run(capsys, "eval", expr, "--order", order)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {cause}\n"
+
 
 class TestCounts:
     @pytest.mark.parametrize("expr", [

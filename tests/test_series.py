@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfpipe.errors import (
@@ -9,7 +9,7 @@ from gfpipe.errors import (
     NonUnitConstantTerm,
     NotReversible,
 )
-from gfpipe.ratfun import ONE, R, ZERO, fe
+from gfpipe.ratfun import ONE, R, ZERO, FieldElem, fe
 from gfpipe.series import Series, divide, from_ratfun
 
 from conftest import field_elems, nonzero_field_elems, scalars, series_values
@@ -138,6 +138,19 @@ class TestRevert:
             S(1, 1).revert()
         with pytest.raises(NotReversible):
             S(0, 0, 1).revert()
+
+    def test_diagnostics_name_the_cause(self):
+        # x + x^2 known to order 1 has a nonzero linear coefficient; it is
+        # only not kept, so the message names the missing coefficients
+        for short in (Series([]), S(0)):
+            with pytest.raises(NotReversible,
+                               match="^reversion needs at least two known coefficients$"):
+                short.revert()
+        with pytest.raises(NotReversible,
+                           match="^reversion needs a nonzero linear coefficient$"):
+            S(0, 0, 1).revert()
+        with pytest.raises(NotReversible, match="^reversion needs constant term 0$"):
+            S(1).revert()
 
 
 class TestGfRevert:
@@ -377,6 +390,81 @@ def test_exp_matches_the_per_term_loop(f):
     assert forms(f.exp()) == forms(exp_oracle(f))
 
 
+def compose_oracle(f, inner):
+    """Horner in inner: one full series product per coefficient of f."""
+    n = min(f.prec, inner.prec)
+    if n == 0:
+        return Series([])
+    acc = Series.constant(f[n - 1], n)
+    for k in range(n - 2, -1, -1):
+        acc = acc * inner
+        acc = Series([acc[0] + f[k]] + list(acc.coeffs[1:]))
+    return acc
+
+
+def revert_oracle(f):
+    """Lagrange inversion over the linear powers winv, winv^2, ..., winv^(n-1)."""
+    n = f.prec
+    winv = divide(Series.one(n - 1), Series(f.coeffs[1:]))
+    out = [ZERO] * n
+    power = winv
+    out[1] = power[0]
+    for k in range(2, n):
+        power = power * winv
+        out[k] = power[k - 1] / k
+    return Series(out)
+
+
+def edge_series(n, qr, constant=None):
+    """A fixed series of precision n, with true Q(r) entries (k+r)/(1+r)
+    when qr and nonzero rationals otherwise."""
+    cs = [FieldElem((k, 1), (1, 1)) if qr else fe(Fraction((-1) ** k * (k + 1), k + 2))
+          for k in range(n)]
+    if constant is not None and n:
+        cs[0] = constant
+    return Series(cs)
+
+
+def at_block_edges(make):
+    """Pin make(n, qr) at n = m^2 - 1, m^2, m^2 + 1 for m = 2, 3, 4, where
+    several giant steps and block edges are crossed."""
+    def pin(test):
+        for m in (2, 3, 4):
+            for n in (m * m - 1, m * m, m * m + 1):
+                for qr in (False, True):
+                    test = example(make(n, qr))(test)
+        return test
+    return pin
+
+
+def maybe_empty(n, strategy):
+    return strategy if n else st.just(Series([]))
+
+
+@given(st.tuples(st.integers(0, 20), st.integers(0, 20)).flatmap(lambda nm: st.tuples(
+    maybe_empty(nm[0], series_of(max(nm[0], 1))),
+    maybe_empty(nm[1], series_of(max(nm[1], 1), st.just(ZERO))))))
+@at_block_edges(lambda n, qr: (edge_series(n + (not qr), qr),
+                               edge_series(n + qr, qr, ZERO)))
+@settings(max_examples=40, deadline=None)
+def test_compose_matches_horner(fg):
+    f, inner = fg
+    assert forms(f.compose(inner)) == forms(compose_oracle(f, inner))
+
+
+@given(st.integers(0, 20).flatmap(lambda n: maybe_empty(n, st.builds(
+    lambda c1, rest: Series([ZERO, c1, *rest]).truncate(n),
+    nonzero_field_elems(max_deg=1), st.lists(coeffs, min_size=n, max_size=n)))))
+@at_block_edges(lambda n, qr: edge_series(n, qr, ZERO))
+@settings(max_examples=30, deadline=None)
+def test_revert_matches_linear_powers(f):
+    if f.prec < 2:
+        with pytest.raises(NotReversible):
+            f.revert()
+        return
+    assert forms(f.revert()) == forms(revert_oracle(f))
+
+
 # -- differential tests against sympy's ring_series over QQ(r) ---------------------
 
 
@@ -434,3 +522,16 @@ def test_revert_and_log_against_sympy_ring_series(wg):
     assert [to_k(c) for c in f.revert()] == \
         coeffs_of(rs_series_reversion(to_ring(f, x), x, n, y), y, n)
     assert [to_k(c) for c in g.log()] == coeffs_of(rs_log(to_ring(g, x), x, n), x, n)
+
+
+@given(st.tuples(st.integers(1, 10), st.integers(1, 10)).flatmap(lambda nm: st.tuples(
+    series_of(nm[0]), series_of(nm[1], st.just(ZERO)))))
+@settings(max_examples=15, deadline=None)
+def test_compose_against_sympy_rs_subs(fg):
+    to_k, to_ring, (x,) = sympy_qr("x")
+    from sympy.polys.ring_series import rs_subs
+
+    f, inner = fg
+    n = min(f.prec, inner.prec)
+    assert [to_k(c) for c in f.compose(inner)] == \
+        coeffs_of(rs_subs(to_ring(f, x), {x: to_ring(inner, x)}, x, n), x, n)

@@ -16,9 +16,10 @@ g_tilde = exp(x - Rev(integral of F)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import PipelinePrecondition
-from .ratfun import fe
+from .ratfun import dot, fe
 from .series import Series
 
 
@@ -67,14 +68,16 @@ def invert_transform(g: Series, c) -> Series:
 
 
 def binomial_transform(g: Series, direction: str = "forward") -> Series:
-    """Ogf binomial transform: (1/(1-x)) g(x/(1-x)); inverse uses 1+x."""
+    """Ogf binomial transform (1/(1-sx)) g(x/(1-sx)), s = 1 forward and
+    -1 inverse, as the direct sum b_m = sum_k C(m,k) s^(m-k) g_k: one
+    ``dot`` per coefficient and no series product."""
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
     s = 1 if direction == "forward" else -1
-    n = g.prec
-    pre = Series([fe(s**k) for k in range(n)])          # 1/(1-sx)
-    inner = Series([fe(0)] + [fe(s ** (k - 1)) for k in range(1, n)])
-    return pre * g.compose(inner)
+    return Series([
+        dot(g.coeffs[: m + 1], [fe(comb(m, k) * s ** (m - k)) for k in range(m + 1)])
+        for m in range(g.prec)
+    ])
 
 
 def partial_P(g: Series) -> Series:

@@ -18,7 +18,7 @@ from gfpipe.transforms import (
     sumudu,
 )
 
-from conftest import series_values, small_ints
+from conftest import field_elems, scalars, series_values, small_ints
 
 
 def ints(series):
@@ -90,6 +90,22 @@ class TestBinomial:
     def test_involution(self, f):
         assert binomial_transform(binomial_transform(f, "forward"), "inverse") == f
         assert binomial_transform(binomial_transform(f, "inverse"), "forward") == f
+
+    @given(st.integers(0, 16).flatmap(
+        lambda n: st.lists(st.one_of(scalars(), field_elems(max_deg=1)),
+                           min_size=n, max_size=n).map(Series)))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_composition_formula(self, g):
+        # (1/(1-sx)) g(x/(1-sx)), the formula the direct sum replaced
+        for direction, s in (("forward", 1), ("inverse", -1)):
+            n = g.prec
+            pre = Series([fe(s**k) for k in range(n)])
+            inner = Series([fe(0)] + [fe(s ** (k - 1)) for k in range(1, n)])
+            assert binomial_transform(g, direction) == pre * g.compose(inner)
+
+    def test_rejects_unknown_direction(self):
+        with pytest.raises(ValueError, match="direction must be"):
+            binomial_transform(Series([1, 2]), "backward")
 
 
 class TestPipeline:

@@ -253,13 +253,15 @@ def production_matrix(Rarr: RiordanArray, size: int) -> SquareMatrix:
 
     With A = f' o revert(f) and Z = (g' o revert(f)) / (g o revert(f)),
     entry (i, j) is (i!/j!) (z_{i-j} + j a_{i-j+1}), negative indices zero.
+    A is taken as 1/revert(f)' (the chain rule on f(revert(f)) = x) and Z
+    as (g'/g) o revert(f), so one composition is made, not three.
     """
     if Rarr.kind != "exponential":
         raise ValueError("production matrices are computed for exponential arrays")
     g, f = Rarr.g, Rarr.f
     fbar = f.revert()
-    A = f.derivative().compose(fbar)
-    Z = divide(g.derivative().compose(fbar), g.compose(fbar))
+    A = divide(Series.one(fbar.prec - 1), fbar.derivative())
+    Z = divide(g.derivative(), g).compose(fbar)
     if A.prec < size + 1 or Z.prec < size:
         raise ValueError("Riordan pair not expanded far enough for this size")
 

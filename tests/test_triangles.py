@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +309,46 @@ class TestProductionMatrix:
         assert P.rows[1][:2] == (w, R * 5 + 1)
         assert P.rows[2][1:3] == (w * 6, R * 9 + 2)
         assert P.rows[4][3:] == (w * 28, R * 17 + 4)
+
+
+def three_composition_prodmat(g, f, size):
+    """The production matrix with A = f' o fbar and Z = (g' o fbar)/(g o fbar)."""
+    fbar = f.revert()
+    A = f.derivative().compose(fbar)
+    Z = divide(g.derivative().compose(fbar), g.compose(fbar))
+
+    def entry(i, j):
+        if j > i + 1:
+            return ZERO
+        z = Z[i - j] if i >= j else ZERO
+        return (z + A[i - j + 1] * j) * Fraction(factorial(i), factorial(j))
+
+    return [tuple(entry(i, j) for j in range(size)) for i in range(size)]
+
+
+class TestProductionMatrixOneComposition:
+    def test_ordered_bell_and_galton(self):
+        prec = 9
+        one = Series.one(prec)
+        den = one + (one - _exp(prec, 2)) * R
+        pairs = [ordered_bell_pair(prec),
+                 (den.pow_rational(Fraction(-1, 2)),
+                  divide(_exp(prec, 2) - one, den * 2))]
+        for g, f in pairs:
+            P = production_matrix(RiordanArray(g, f, "exponential"), prec - 2)
+            assert list(P.rows) == three_composition_prodmat(g, f, prec - 2)
+
+    @given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+        st.lists(field_elems(max_deg=1), min_size=n - 1, max_size=n - 1),
+        nonzero_field_elems(max_deg=1), nonzero_field_elems(max_deg=1),
+        st.lists(field_elems(max_deg=1), min_size=n - 2, max_size=n - 2))))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_three_compositions_on_qr_pairs(self, parts):
+        gs, g0, f1, fs = parts
+        g, f = Series([g0, *gs]), Series([ZERO, f1, *fs])
+        size = g.prec - 2
+        P = production_matrix(RiordanArray(g, f, "exponential"), size)
+        assert list(P.rows) == three_composition_prodmat(g, f, size)
 
 
 class TestRecurrence:

@@ -254,7 +254,7 @@ def production_matrix(Rarr: RiordanArray, size: int) -> SquareMatrix:
     With A = f' o revert(f) and Z = (g' o revert(f)) / (g o revert(f)),
     entry (i, j) is (i!/j!) (z_{i-j} + j a_{i-j+1}), negative indices zero.
     A is taken as 1/revert(f)' (the chain rule on f(revert(f)) = x) and Z
-    as (g'/g) o revert(f), so one composition is made, not three.
+    as (g'/g) o revert(f), so only one composition is needed.
     """
     if Rarr.kind != "exponential":
         raise ValueError("production matrices are computed for exponential arrays")

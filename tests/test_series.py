@@ -444,6 +444,8 @@ def maybe_empty(n, strategy):
 @given(st.tuples(st.integers(0, 20), st.integers(0, 20)).flatmap(lambda nm: st.tuples(
     maybe_empty(nm[0], series_of(max(nm[0], 1))),
     maybe_empty(nm[1], series_of(max(nm[1], 1), st.just(ZERO))))))
+# the longer of the two alternates, so the composition has precision n with
+# inner.prec both above and below self.prec
 @at_block_edges(lambda n, qr: (edge_series(n + (not qr), qr),
                                edge_series(n + qr, qr, ZERO)))
 @settings(max_examples=40, deadline=None)

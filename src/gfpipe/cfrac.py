@@ -12,10 +12,21 @@ A missing tail of lam (or of s) means the fraction terminates there: all
 further partial numerators are zero, so the value is a rational function
 and can be expanded to any precision.
 
-Evaluation to a series runs one O(prec * depth) kernel, the Stieltjes
-tableau (weighted Motzkin paths); an S-fraction gets there through its
-even contraction.  Expansion of a series runs one loop, for the
-J-fraction; the S-fraction is read off it by undoing the contraction.
+Both directions run one recurrence, the Stieltjes tableau (Flajolet
+1980).  T(n, k) weighs the Motzkin paths from height 0 to height k in n
+steps: an up step weighs 1, a level step at height k weighs b_k, and a
+down step from k+1 to k weighs lam_(k+1) (``lam[k]``, 0-based).  So
+
+    T(n+1, k) = T(n, k-1) + b_k T(n, k) + lam_(k+1) T(n, k+1),
+
+with T(0, 0) = 1, T(k, k) = 1, T(n, k) = 0 for k < 0 or k > n, and
+[x^n] f = T(n, 0).  Evaluation (``_tableau``) runs it forwards, one row n
+at a time, in O(prec * depth) entries.  Expansion (``series_to_jfrac``)
+runs it backwards, one column k at a time from T(n, 0) = [x^n] f: that is
+the Chebyshev algorithm, O(n^2) entries and one inverse per level.  Each
+entry in either direction is one ``ratfun.dot``, so one normal form.  An
+S-fraction is evaluated through its even contraction and expanded by
+undoing that contraction on the J-fraction.
 
 The module also provides the two-sequence triangle construction (partial
 numerators r_k x + s_k x y, with y carried by the parameter r), and the
@@ -29,7 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import DegenerateCfrac, InsufficientDepth, NonUnitConstantTerm, PatternMismatch
-from .ratfun import ONE, ZERO, R, FieldElem, fe
+from .ratfun import ONE, ZERO, R, FieldElem, dot, fe
 from .series import Series, divide
 
 
@@ -52,31 +63,64 @@ class SFraction:
 
 
 def _tableau(b: Sequence, lam: Sequence, depth: int, prec: int) -> Series:
-    """Series of the J-fraction cut below level ``depth``, by the Stieltjes
-    tableau: T(n, k) weighs the Motzkin paths from height 0 to height k in
-    n steps (an up step weighs 1, a level step at k weighs b[k], a down
-    step from k+1 to k weighs lam[k]), so
-
-        T(n, k) = T(n-1, k-1) + b[k] T(n-1, k) + lam[k] T(n-1, k+1)
-
-    and [x^n] = T(n, 0) (Flajolet 1980).  Heights stop at depth - 1 and at
-    prec - 1 - n, above which no path returns in time; so O(prec * depth)
-    field ops.  ``b`` needs depth entries, ``lam`` depth - 1."""
+    """Series of the J-fraction cut below level ``depth``: the tableau run
+    forwards, row n from row n-1, each entry one ``dot`` of
+    (1, b_k, lam_(k+1)) against (T(n-1, k-1), T(n-1, k), T(n-1, k+1)).
+    Heights stop at depth - 1 and at prec - 1 - n, above which no path
+    returns in time; so O(prec * depth) entries.  ``b`` needs depth
+    entries, ``lam`` depth - 1."""
+    steps = [(ONE, b[k], lam[k] if k + 1 < depth else ZERO) for k in range(depth)]
     row = [ONE]
     out = [ONE]
     for n in range(1, prec):
         top = min(depth - 1, n, prec - 1 - n)
-        nxt = []
-        for k in range(top + 1):
-            v = row[k - 1] if k else ZERO
-            if k < len(row):
-                v = v + b[k] * row[k]
-                if k + 1 < len(row):
-                    v = v + lam[k] * row[k + 1]
-            nxt.append(v)
-        row = nxt
+        prev = [ZERO, *row, ZERO, ZERO]  # prev[k] = T(n-1, k-1)
+        row = [dot(steps[k], prev[k:k + 3]) for k in range(top + 1)]
         out.append(row[0])
     return Series(out)
+
+
+def series_to_jfrac(f: Series) -> JFraction:
+    """Expand f as a Jacobi fraction by the Chebyshev algorithm (Gautschi
+    2004, section 2.1): the tableau run backwards from T(n, 0) = [x^n] f.
+    Column k comes from columns k-1 and k-2, since the recurrence gives
+
+        lam_k T(k+j, k) = T(k+j+1, k-1) - T(k+j, k-2) - b_(k-1) T(k+j, k-1),
+
+    with lam_k the value at j = 0 (T(k, k) = 1), and b_k = T(k+1, k) -
+    T(k, k-1).  Each entry is one ``dot``; so O(N^2) entries and one
+    inverse per level, and no series division.
+
+    From N known coefficients column k has N - 2k entries, so the
+    expansion determines floor(N/2) diagonal terms and floor((N-1)/2)
+    weights.  A vanishing weight with a nonzero remainder (the rest of its
+    column) is a degeneracy; with a zero remainder the fraction simply
+    terminates (rational case).
+    """
+    if not f.coeffs or not f.coeffs[0].is_one():
+        raise NonUnitConstantTerm("fraction expansion needs f(0) = 1")
+    bs, lams = [], []
+    below, col = [ZERO] * f.prec, list(f.coeffs)  # columns k-2, k-1
+    while len(col) >= 2:  # col[j] = T(k-1+j, k-1)
+        b = col[1] - below[1]
+        bs.append(b)
+        if len(col) < 3:
+            break
+        # (T(k+j+1, k-1), T(k+j, k-2), T(k+j, k-1)) for j = 0 .. N-2k-1
+        terms = list(zip(col[2:], below[2:], col[1:]))
+        step = (ONE, -ONE, -b)
+        lam = dot(step, terms[0])
+        if lam.is_zero():
+            if any(not dot(step, t).is_zero() for t in terms[1:]):
+                raise DegenerateCfrac(
+                    "partial numerator vanished with a nonzero remainder"
+                )
+            break
+        lams.append(lam)
+        inv = lam.inverse()
+        step = (inv, -inv, -(b * inv))
+        below, col = col, [dot(step, t) for t in terms]
+    return JFraction(bs, lams)
 
 
 def jfrac_to_series(J: JFraction, prec: int) -> Series:
@@ -112,36 +156,6 @@ def sfrac_to_series(S: SFraction, prec: int) -> Series:
     if prec <= 0:
         return Series([])
     return jfrac_to_series(contract_s_to_j(SFraction(S.s[: prec - 1])), prec)
-
-
-def series_to_jfrac(f: Series) -> JFraction:
-    """Expand f as a Jacobi fraction by repeated reciprocal-and-strip.
-
-    From N known coefficients the expansion determines floor(N/2) diagonal
-    terms and floor((N-1)/2) weights.  A vanishing weight with a nonzero
-    remainder is a degeneracy; with a zero remainder the fraction simply
-    terminates (rational case).
-    """
-    if not f.coeffs or not f.coeffs[0].is_one():
-        raise NonUnitConstantTerm("fraction expansion needs f(0) = 1")
-    bs, lams = [], []
-    cur = f
-    while cur.prec >= 2:
-        u = Series.one(cur.prec) - divide(Series.one(cur.prec), cur)
-        bs.append(u.coeffs[1])
-        if cur.prec < 3:
-            break
-        rest = u.coeffs[2:]  # u - b x, shifted down twice
-        lam = rest[0]
-        if lam.is_zero():
-            if any(not c.is_zero() for c in rest):
-                raise DegenerateCfrac(
-                    "partial numerator vanished with a nonzero remainder"
-                )
-            break
-        lams.append(lam)
-        cur = Series([c / lam for c in rest])
-    return JFraction(bs, lams)
 
 
 def series_to_sfrac(f: Series) -> SFraction:

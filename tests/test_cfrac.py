@@ -26,7 +26,7 @@ from gfpipe.ratfun import ONE, R, ZERO, fe
 from gfpipe.series import Series, divide, from_ratfun
 from gfpipe.triangles import triangle_from_gf
 
-from conftest import scalars, small_ints
+from conftest import nonzero_field_elems, scalars, small_ints
 
 
 def ints(series):
@@ -361,6 +361,30 @@ class TestTableau:
             jfrac_to_series(J, prec)
 
 
+def reciprocal_strip_jfrac(f):
+    """The former J expansion: one series reciprocal per level, so O(N^3)."""
+    if not f.coeffs or not f.coeffs[0].is_one():
+        raise NonUnitConstantTerm("fraction expansion needs f(0) = 1")
+    bs, lams = [], []
+    cur = f
+    while cur.prec >= 2:
+        u = Series.one(cur.prec) - divide(Series.one(cur.prec), cur)
+        bs.append(u.coeffs[1])
+        if cur.prec < 3:
+            break
+        rest = u.coeffs[2:]  # u - b x, shifted down twice
+        lam = rest[0]
+        if lam.is_zero():
+            if any(not c.is_zero() for c in rest):
+                raise DegenerateCfrac(
+                    "partial numerator vanished with a nonzero remainder"
+                )
+            break
+        lams.append(lam)
+        cur = Series([c / lam for c in rest])
+    return JFraction(bs, lams)
+
+
 def reciprocal_strip_sfrac(f):
     """The S-fraction by one reciprocal-and-strip per entry."""
     if not f.coeffs or not f.coeffs[0].is_one():
@@ -407,3 +431,48 @@ class TestSfracFromJfrac:
         f = Series([ONE, *tail])
         assert sfrac_or_error(series_to_sfrac, f) == sfrac_or_error(
             reciprocal_strip_sfrac, f)
+
+
+# tails after the leading 1 of f, and the (len(b), len(lam)) or the error
+PINNED_J = [
+    ([], (0, 0)),                                           # N = 1
+    ([R], (1, 0)),                                          # N = 2
+    ([ONE, fe(2)], (1, 1)),                                 # N = 3
+    ([ONE, ONE, ONE], (1, 0)),                              # 1/(1-x) ends at lam1
+    ([ONE, ONE, fe(2)], DegenerateCfrac),                   # degenerate at lam1
+    ([ZERO, ONE, ZERO, ONE, ZERO, fe(2)], DegenerateCfrac),  # degenerate at lam2
+]
+
+
+class TestJfracFromChebyshev:
+    @given(sparse_tails)
+    @example([])
+    @example([R])
+    @example([ONE, fe(2)])
+    @example([ONE, ONE, ONE])
+    @example([ONE, ONE, fe(2)])
+    @example([ZERO, ONE, ZERO, ONE, ZERO, fe(2)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reciprocal_and_strip(self, tail):
+        f = Series([ONE, *tail])
+        assert sfrac_or_error(series_to_jfrac, f) == sfrac_or_error(
+            reciprocal_strip_jfrac, f)
+
+    @pytest.mark.parametrize("tail,shape", PINNED_J)
+    def test_pinned_outcomes(self, tail, shape):
+        J = sfrac_or_error(series_to_jfrac, Series([ONE, *tail]))
+        assert (J if isinstance(J, type) else (len(J.b), len(J.lam))) == shape
+
+    def test_degenerate_wording(self):
+        with pytest.raises(DegenerateCfrac,
+                           match="partial numerator vanished with a nonzero remainder"):
+            series_to_jfrac(Series([ONE, ZERO, ONE, ZERO, ONE, ZERO, fe(2)]))
+
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+        st.lists(scalars(), min_size=d, max_size=d),
+        st.lists(nonzero_field_elems(max_deg=1), min_size=d - 1, max_size=d - 1))))
+    @settings(max_examples=40, deadline=None)
+    def test_qr_round_trip(self, entries):
+        bs, lams = entries
+        J = JFraction(bs, lams)
+        assert series_to_jfrac(jfrac_to_series(J, 2 * len(bs))) == J

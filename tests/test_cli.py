@@ -176,3 +176,43 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["eval"])
     assert exc.value.code == 2
+
+
+# one process, one parser: every kind of call, with a usage error in between
+MIXED_CALLS = [
+    ("eval", "sumudu(P(1/(1-x^2)))", "--order", "6"),
+    ("eval", "tojfrac(sumudu(P((1+(r-1)*x)/((1-x)*(1+r*x)))))", "--order", "7",
+     "--format", "csv"),
+    ("eval", "sfrac([r,1,r+1])", "--order", "5", "--format", "json", "--set", "r=2"),
+    ("eval", "1/(1-r*x)", "--order", "4", "--set", "r=1/3"),
+    ("eval",),
+    ("triangle", "1/(1+r*(1-exp(x)))", "--rows", "4", "--mode", "egf"),
+    ("eval", "tosfrac(1+x^3)", "--order", "5", "--format", "json"),
+    ("fixtures", "--run", "fubini-pipeline", "--format", "json"),
+    ("eval", "x", "--order", "0"),
+    ("triangle", "1/(1-x-r*x)", "--rows", "3", "--format", "csv", "--set", "r=-1"),
+    ("eval", "x+", "--format", "table"),
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = cli_main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_a_fresh_one(capsys):
+    from gfpipe import cli
+
+    cli._build_parser.cache_clear()
+    reused = [outcome(capsys, argv) for argv in MIXED_CALLS]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in MIXED_CALLS:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 1, 0, 2, 0, 2]

@@ -463,6 +463,18 @@ class TestJfracFromChebyshev:
         J = sfrac_or_error(series_to_jfrac, Series([ONE, *tail]))
         assert (J if isinstance(J, type) else (len(J.b), len(J.lam))) == shape
 
+    def test_makes_no_series_division(self, monkeypatch):
+        import gfpipe.series
+
+        def forbidden(a, b):
+            raise AssertionError("series division")
+
+        monkeypatch.setattr(gfpipe.series, "divide", forbidden)
+        monkeypatch.setattr("gfpipe.cfrac.divide", forbidden)
+        J = series_to_jfrac(FUBINI)
+        assert [v.as_fraction() for v in J.b] == [1, 4, 7, 10]
+        assert [v.as_fraction() for v in J.lam] == [2, 8, 18, 32]
+
     def test_degenerate_wording(self):
         with pytest.raises(DegenerateCfrac,
                            match="partial numerator vanished with a nonzero remainder"):

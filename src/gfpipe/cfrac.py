@@ -125,7 +125,7 @@ def series_to_jfrac(f: Series) -> JFraction:
 
 def jfrac_to_series(J: JFraction, prec: int) -> Series:
     """The truncated fraction to prec terms, by the Stieltjes tableau in
-    O(prec * depth) field ops.
+    O(prec * depth) entries.
 
     Coefficient x^n sees b_k for 2k+1 <= n and lam_k for 2k <= n, so prec
     coefficients need floor(prec/2) diagonal terms and floor((prec-1)/2)
@@ -151,7 +151,7 @@ def jfrac_to_series(J: JFraction, prec: int) -> Series:
 
 def sfrac_to_series(S: SFraction, prec: int) -> Series:
     """Through the even contraction, so by the same tableau in
-    O(prec * depth) field ops.  Coefficient x^n sees s_1 .. s_n, so prec
+    O(prec * depth) entries.  Coefficient x^n sees s_1 .. s_n, so prec
     terms need prec - 1 entries; a short s-list terminates."""
     if prec <= 0:
         return Series([])

@@ -35,11 +35,11 @@ TOUR = [
 ]
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--format", choices=("table", "csv", "json"),
                     default="table")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     for title, expr, order in TOUR:
         print(f"== {title}")
         print(f"   {expr}")

@@ -6,6 +6,8 @@ Subcommands:
   triangle EXPR --rows N [--mode ogf|egf] [--set r=p/q] [--format F]
   fixtures [--list | --run [ID ...]] [--format F]
 
+``triangle`` evaluates the builtin triangle(EXPR, N, mode) at order N.
+
 Exit codes: 0 success, 1 mathematical error, 2 usage or expression error.
 Results go to stdout, diagnostics to stderr.
 """
@@ -17,10 +19,9 @@ import functools
 import sys
 from fractions import Fraction
 
-from .dsl import Env, evaluate, parse
+from .dsl import Call, Env, Name, Num, evaluate, parse
 from .errors import EngineError, ExprError, ParseError
-from .formats import format_value, substitute_value
-from .triangles import triangle_from_gf
+from .formats import format_value
 
 
 def _parse_set(text: str) -> Fraction:
@@ -86,19 +87,14 @@ def cli_main(argv=None) -> int:
         parser.error("--rows must be at least 1")
 
     try:
-        if args.command == "eval":
-            env = Env(order=args.order, r_value=args.set_r)
-            value = evaluate(parse(args.expr), env)
+        if args.command != "fixtures":
+            ast, order = parse(args.expr), getattr(args, "order", None)
+            if args.command == "triangle":
+                ast = Call(name="triangle",
+                           args=(ast, Num(value=args.rows), Name(ident=args.mode)))
+                order = args.rows
+            value = evaluate(ast, Env(order=order, r_value=args.set_r))
             print(format_value(value, args.format))
-            return 0
-
-        if args.command == "triangle":
-            env = Env(order=max(args.rows, 1), r_value=None)
-            gf = evaluate(parse(args.expr), env)
-            tri = triangle_from_gf(gf, args.rows, args.mode)
-            if args.set_r is not None:
-                tri = substitute_value(tri, args.set_r)
-            print(format_value(tri, args.format))
             return 0
 
         # fixtures: imported here, so eval and triangle do not pay for it

@@ -17,7 +17,7 @@ matter how many precision-losing steps the expression chains together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -205,7 +205,7 @@ class _Parser:
             node = self.expr()
             close = self.expect(")")
             self.nesting -= 1
-            return _respan(node, start, close[2] + 1)
+            return replace(node, start=start, end=close[2] + 1)
         if kind == "[":
             self.advance()
             self.nest(start)
@@ -268,14 +268,6 @@ def _check_depth(root: Node) -> None:
         level[0].start,
         (),
     )
-
-
-def _respan(node: Node, start: int, end: int) -> Node:
-    cls = type(node)
-    data = {f.name: getattr(node, f.name) for f in node.__dataclass_fields__.values()}
-    data["start"] = start
-    data["end"] = end
-    return cls(**data)
 
 
 def parse(text: str) -> Node:

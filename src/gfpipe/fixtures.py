@@ -22,7 +22,7 @@ from typing import Optional
 from .cfrac import JFraction, SFraction
 from .dsl import Env, evaluate, parse
 from .errors import EngineError, ExprError
-from .formats import build_value
+from .formats import KINDS, build_value
 from .ratfun import FieldElem, fe
 
 
@@ -770,35 +770,26 @@ class Report:
         return f"{good}/{len(self.cases)} fixtures passed"
 
 
-def _first_diff(kind: str, got, want, prefix: bool) -> Optional[str]:
-    def seq_diff(gs, ws, label):
+def _first_diff(got, want, prefix: bool) -> Optional[str]:
+    """The first place where ``got`` differs from ``want``, walking the
+    entries of their kind to its depth; ``prefix`` lets every list of
+    ``got`` run longer than its expected counterpart."""
+    kind = next(k for k in KINDS if isinstance(want, k.cls))
+
+    def walk(gs, ws, depth, label):
+        if depth == 0:
+            return None if gs == ws else f"{label}: got {gs}, expected {ws}"
         if not prefix and len(gs) != len(ws):
             return f"{label}: length {len(gs)} != {len(ws)}"
         if len(gs) < len(ws):
             return f"{label}: only {len(gs)} of {len(ws)} entries"
-        for i, w in enumerate(ws):
-            if gs[i] != w:
-                return f"{label}[{i}]: got {gs[i]}, expected {w}"
+        for i, (g, w) in enumerate(zip(gs, ws)):
+            diff = walk(g, w, depth - 1, f"{label}[{i}]")
+            if diff:
+                return diff
         return None
 
-    if kind == "series":
-        return seq_diff(got.coeffs, want.coeffs, "entry")
-    if kind in ("triangle", "matrix"):
-        if got.rows[: len(want.rows)] != want.rows:
-            for n, wrow in enumerate(want.rows):
-                if n >= len(got.rows):
-                    return f"row {n} missing"
-                for k, w in enumerate(wrow):
-                    if got.rows[n][k] != w:
-                        return f"entry ({n},{k}): got {got.rows[n][k]}, expected {w}"
-        if not prefix and len(got.rows) != len(want.rows):
-            return f"rows: {len(got.rows)} != {len(want.rows)}"
-        return None
-    if kind == "jfrac":
-        return seq_diff(got.b, want.b, "b") or seq_diff(got.lam, want.lam, "lambda")
-    if kind == "sfrac":
-        return seq_diff(got.s, want.s, "s")
-    raise ValueError(kind)
+    return walk(kind.entries(got), kind.entries(want), kind.depth, "entry")
 
 
 def run_fixture(fx: Fixture) -> CaseResult:
@@ -808,7 +799,7 @@ def run_fixture(fx: Fixture) -> CaseResult:
     elif fx.kind == "series":
         order = len(fx.expected)
     else:
-        order = max(len(fx.expected), 4)
+        order = max(len(fx.expected) if fx.kind != "fieldelem" else 0, 4)
     env = Env(order=order,
               r_value=Fraction(fx.set_r) if fx.set_r is not None else None)
     try:
@@ -825,7 +816,7 @@ def run_fixture(fx: Fixture) -> CaseResult:
             fx.id, False,
             f"kind mismatch: got {type(got).__name__}", fx.source
         )
-    diff = _first_diff(fx.kind, got, want, fx.prefix)
+    diff = _first_diff(got, want, fx.prefix)
     if diff is None:
         return CaseResult(fx.id, True, "", fx.source)
     return CaseResult(fx.id, False, diff, fx.source)

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .ratfun import ONE, ZERO, FieldElem, dot, fe
 from .series import Series, divide
+from .transforms import sumudu
 
 
 class Triangle:
@@ -43,13 +44,6 @@ class Triangle:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def entry(self, n: int, k: int) -> FieldElem:
-        if not (0 <= n < self.n_rows):
-            raise IndexRange(f"row {n} outside 0..{self.n_rows - 1}")
-        if not (0 <= k <= n):
-            return ZERO
-        return self.rows[n][k]
-
     def __eq__(self, other):
         if not isinstance(other, Triangle):
             return NotImplemented
@@ -64,9 +58,6 @@ class Triangle:
         )
         more = " ..." if self.n_rows > 5 else ""
         return f"Triangle[{body}{more}]"
-
-    def truncate(self, rows: int) -> "Triangle":
-        return Triangle(self.rows[:rows])
 
 
 class SquareMatrix:
@@ -84,9 +75,6 @@ class SquareMatrix:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> FieldElem:
-        return self.rows[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
@@ -154,14 +142,11 @@ def triangle_from_gf(gf: Series, rows: int, mode: str = "ogf") -> Triangle:
         raise ValueError("mode must be 'ogf' or 'egf'")
     if gf.prec < rows:
         raise ValueError(f"need {rows} coefficients, series has {gf.prec}")
+    if mode == "egf":
+        gf = sumudu(gf)
     out = []
-    f = 1
     for n in range(rows):
         c = gf.coeffs[n]
-        if mode == "egf":
-            if n:
-                f *= n
-            c = c * f
         if len(c.den) > 1:
             raise NonPolynomialRow(
                 f"order-{n} coefficient {c} is not polynomial in r"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from gfpipe.cfrac import (
 )
 from gfpipe.errors import (
     DegenerateCfrac,
+    EngineError,
     InsufficientDepth,
     NonUnitConstantTerm,
     PatternMismatch,
@@ -488,3 +491,51 @@ class TestJfracFromChebyshev:
         bs, lams = entries
         J = JFraction(bs, lams)
         assert series_to_jfrac(jfrac_to_series(J, 2 * len(bs))) == J
+
+
+def delta1_by_division(rs, ss, rows):
+    """The former delta-1 route: 1/(1 - x w0 - x w1 S(w2, w3, ...)) by one
+    series division."""
+    w = weights(rs, ss, max(rows + 1, 2))
+    x = Series.x(rows)
+    tail = sfrac_to_series(SFraction(w[2:]), rows)
+    gf = divide(Series.one(rows), Series.one(rows) - x * w[0] - x * w[1] * tail)
+    return triangle_from_gf(gf, rows, "ogf")
+
+
+def triangle_or_error(make):
+    try:
+        T = make()
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return [[(c.num, c.den) for c in row] for row in T.rows]
+
+
+constants = st.builds(Fraction, small_ints, st.integers(1, 3)).map(fe)
+
+
+class TestDelta1ByContraction:
+    # the y of ss rides on r, so an ss entry that depends on r can push a
+    # row past degree n; both routes must then fail alike
+    @given(st.lists(scalars(), max_size=8),
+           st.lists(st.one_of(constants, scalars()), max_size=8),
+           st.integers(1, 12))
+    @example(rs=[], ss=[], rows=1)
+    @example(rs=[], ss=[], rows=12)
+    @example(rs=[R], ss=[], rows=5)
+    @example(rs=[], ss=[R], rows=3)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_division(self, rs, ss, rows):
+        assert triangle_or_error(lambda: deleham_delta1(rs, ss, rows)) == \
+            triangle_or_error(lambda: delta1_by_division(rs, ss, rows))
+
+    def test_makes_no_series_division(self, monkeypatch):
+        import gfpipe.series
+
+        def forbidden(a, b):
+            raise AssertionError("series division")
+
+        monkeypatch.setattr(gfpipe.series, "divide", forbidden)
+        monkeypatch.setattr("gfpipe.cfrac.divide", forbidden)
+        T = deleham_delta1([0, 1, 0, 2, 0], [1, 0, 2, 0, 3], 5)
+        assert T.rows[4] == (ONE, fe(26), fe(66), fe(26), ONE)

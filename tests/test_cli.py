@@ -146,6 +146,44 @@ class TestTriangle:
             run(capsys, "triangle", "x", "--rows", "3", "--mode", "bad")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("expr,kind", [
+        ("Bmat(3)", "triangle"), ("matrix([[1]])", "matrix")])
+    def test_non_series_exit_2(self, capsys, expr, kind):
+        code, out, err = run(capsys, "triangle", expr, "--rows", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: expected a series, got {kind} (at offset 0)\n"
+
+    @pytest.mark.parametrize("expr,csv", [
+        ("tinv(r+1,r+1,r,4)", "1\n1,1\n1,3,1\n\n"),
+        ("sfrac([1,r,2])", "1\n1,0\n1,1,0\n\n"),
+        ("tojfrac(1/(1-x-x^2))", "1\n1,0\n2,0,0\n\n"),
+        ("oracle(N1,2,1)", "1\n0,0\n0,0,0\n\n"),
+    ])
+    def test_fractions_and_scalars_expand(self, capsys, expr, csv):
+        code, out, err = run(capsys, "triangle", expr, "--rows", "3",
+                             "--format", "csv")
+        assert (code, out, err) == (0, csv, "")
+
+
+# the triangle subcommand is the triangle builtin: same outcome, byte for byte
+@pytest.mark.parametrize("expr,rows,mode", [
+    ("1/(1+r*(1-exp(x)))", 5, "egf"),
+    ("1/(1-x*(1+r))", 4, "ogf"),
+    ("exp(r*x)", 4, "egf"),
+    ("tinv(r+1,r+1,r,4)", 5, "ogf"),
+    ("tojfrac(1/(1-x-r*x^2))", 5, "ogf"),
+    ("1/(1-x/r)", 3, "ogf"),          # not polynomial in r: exit 1
+])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("set_r", [(), ("--set", "r=2"), ("--set", "r=1/2")])
+def test_triangle_subcommand_is_the_builtin(capsys, expr, rows, mode, fmt, set_r):
+    sub = run(capsys, "triangle", expr, "--rows", str(rows), "--mode", mode,
+              "--format", fmt, *set_r)
+    builtin = run(capsys, "eval", f"triangle({expr},{rows},{mode})",
+                  "--order", str(rows), "--format", fmt, *set_r)
+    assert sub == builtin
+    assert sub[0] == (1 if expr == "1/(1-x/r)" else 0)
+
 
 class TestFixturesCommand:
     def test_list(self, capsys):

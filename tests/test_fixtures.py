@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -60,8 +61,6 @@ def test_unknown_id_raises():
 
 
 def test_failure_reports_first_difference():
-    from dataclasses import replace
-
     fx = next(f for f in all_fixtures() if f.id == "fubini-pipeline")
     bad = replace(fx, expected=[1, 1, 3, 14])
     result = run_fixture(bad)
@@ -82,3 +81,65 @@ def test_report_renders_in_three_formats():
 def test_expected_data_decodes_for_all():
     for fx in all_fixtures():
         decode_expected(fx)
+
+
+def _fixture(fid):
+    return next(f for f in all_fixtures() if f.id == fid)
+
+
+def _mutated(expected, path):
+    """A deep copy of the literal data with the entry at ``path`` raised by 1."""
+    if not path:
+        return (expected + 1 if isinstance(expected, int)
+                else [expected[0] + 1, *expected[1:]])
+    out = list(expected)
+    out[path[0]] = _mutated(out[path[0]], path[1:])
+    return type(expected)(out)
+
+
+@pytest.mark.parametrize("fid,path", [
+    ("narayana1-gf", (4, 2)),
+    ("prodmat-ordered-bell", (2, 1)),
+    ("fubini-jfrac", (1, 2)),
+    ("genbell-contract", (0, 1)),   # a prefix fixture
+    ("fubini-sfrac", (5,)),
+    ("genbell-sfrac", (3,)),
+])
+def test_failure_names_the_first_differing_index(fid, path):
+    fx = _fixture(fid)
+    assert run_fixture(fx).passed
+    result = run_fixture(replace(fx, expected=_mutated(fx.expected, path)))
+    assert not result.passed
+    assert result.detail.startswith(
+        "entry" + "".join(f"[{i}]" for i in path) + ": got ")
+
+
+def test_prefix_fixture_reports_a_short_result():
+    fx = _fixture("fubini-contract")
+    b, lam = fx.expected
+    result = run_fixture(replace(fx, expected=(b, lam + [50, 72, 98, 128, 162])))
+    assert not result.passed
+    assert result.detail == "entry[1]: only 4 of 9 entries"
+
+
+ORDERED_BELL_RECURRENCE = (
+    "recurrence(prodmat(1/(1+r*(1-exp(x))),(exp(x)-1)/(1+r*(1-exp(x))),3))")
+
+
+@pytest.mark.parametrize("kind,build,expected,detail", [
+    ("fieldelem", "oracle(N1,5,2)", 20, ""),
+    ("fieldelem", "oracle(N1,5,2)", 21, "entry: got 20, expected 21"),
+    ("recurrence", ORDERED_BELL_RECURRENCE,
+     ([[0, 1], [1, 3], [2, 5]], [[0, 1, 1], [0, 4, 4]]), ""),
+    ("recurrence", ORDERED_BELL_RECURRENCE,
+     ([[0, 1], [1, 3], [2, 5]], [[0, 1, 1], [0, 4, 5]]),
+     "entry[1][1]: got 4r^2 + 4r, expected 5r^2 + 4r"),
+    ("recurrence", ORDERED_BELL_RECURRENCE,
+     ([[0, 1], [1, 3]], [[0, 1, 1]]), "entry[0]: length 3 != 2"),
+])
+def test_every_kind_runs_as_a_fixture(kind, build, expected, detail):
+    fx = replace(_fixture("fubini-pipeline"), id="adhoc", kind=kind,
+                 build=build, expected=expected)
+    assert fx.order is None
+    result = run_fixture(fx)
+    assert (result.passed, result.detail) == (not detail, detail)

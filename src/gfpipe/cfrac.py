@@ -26,9 +26,7 @@ runs it backwards, one column k at a time from T(n, 0) = [x^n] f: that is
 the Chebyshev algorithm, O(n^2) entries and one inverse per level.  Each
 entry in either direction is one ``ratfun.dot``, so one normal form.  An
 S-fraction is evaluated through its even contraction and expanded by
-undoing that contraction on the J-fraction.  Every fraction here, the
-Deleham delta-1 one included, is evaluated by the tableau, with no series
-division.
+undoing that contraction on the J-fraction.
 
 The module also provides the two-sequence triangle construction (partial
 numerators r_k x + s_k x y, with y carried by the parameter r), and the
@@ -43,9 +41,7 @@ from typing import Sequence, Tuple
 
 from .errors import DegenerateCfrac, InsufficientDepth, NonUnitConstantTerm, PatternMismatch
 from .ratfun import ONE, ZERO, R, FieldElem, dot, fe
-# ``divide`` is unused here, but perfbench/tracer.py wraps ``cfrac.divide`` to
-# count this module's series divisions (now none) and fails without the name.
-from .series import Series, divide  # noqa: F401
+from .series import Series, divide
 
 
 @dataclass(frozen=True)
@@ -228,15 +224,15 @@ def deleham(rs: Sequence, ss: Sequence, rows: int):
 
 def deleham_delta1(rs: Sequence, ss: Sequence, rows: int):
     """Variant with the first weight at the top level:
-    1/(1 - w0 x - w1 x/(1 - w2 x/(1 - ...))).  That is the even
-    contraction of S(w1, w2, ...) with w0 added to its b0, so it rides
-    the tableau too."""
+    1/(1 - w0 x - w1 x/(1 - w2 x/(1 - ...)))."""
     from .triangles import triangle_from_gf
 
     w = _bivariate_weights(rs, ss, max(rows + 1, 2))
-    J = contract_s_to_j(SFraction(w[1:]))
-    J = JFraction((J.b[0] + w[0], *J.b[1:]), J.lam)
-    return triangle_from_gf(jfrac_to_series(J, rows), rows, "ogf")
+    prec = rows
+    x = Series.x(prec)
+    tail = sfrac_to_series(SFraction(w[2:]), prec)
+    gf = divide(Series.one(prec), Series.one(prec) - x * w[0] - x * w[1] * tail)
+    return triangle_from_gf(gf, rows, "ogf")
 
 
 # -- pairing of constant-tail and quadratic-weight fractions ---------------

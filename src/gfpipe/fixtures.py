@@ -22,7 +22,7 @@ from typing import Optional
 from .cfrac import JFraction, SFraction
 from .dsl import Env, evaluate, parse
 from .errors import EngineError, ExprError
-from .formats import KINDS, build_value
+from .formats import build_value, kind_of
 from .ratfun import FieldElem, fe
 
 
@@ -770,13 +770,13 @@ class Report:
         return f"{good}/{len(self.cases)} fixtures passed"
 
 
-def _first_diff(got, want, prefix: bool) -> Optional[str]:
+def _first_diff(kind, got, want, prefix: bool) -> Optional[str]:
     """The first place where ``got`` differs from ``want``, walking the
     entries of their kind to its depth; ``prefix`` lets every list of
-    ``got`` run longer than its expected counterpart."""
-    kind = next(k for k in KINDS if isinstance(want, k.cls))
+    ``got`` run longer than its expected counterpart.  Rows that the kind
+    labels (b and lambda, alpha and beta) are named by their label."""
 
-    def walk(gs, ws, depth, label):
+    def walk(gs, ws, depth, label, names=()):
         if depth == 0:
             return None if gs == ws else f"{label}: got {gs}, expected {ws}"
         if not prefix and len(gs) != len(ws):
@@ -784,22 +784,25 @@ def _first_diff(got, want, prefix: bool) -> Optional[str]:
         if len(gs) < len(ws):
             return f"{label}: only {len(gs)} of {len(ws)} entries"
         for i, (g, w) in enumerate(zip(gs, ws)):
-            diff = walk(g, w, depth - 1, f"{label}[{i}]")
+            sub = names[i].rstrip(": ") if names else f"{label}[{i}]"
+            diff = walk(g, w, depth - 1, sub)
             if diff:
                 return diff
         return None
 
-    return walk(kind.entries(got), kind.entries(want), kind.depth, "entry")
+    names = kind.labels if kind.depth == 2 else ()
+    return walk(kind.entries(got), kind.entries(want), kind.depth, "entry", names)
 
 
 def run_fixture(fx: Fixture) -> CaseResult:
     want = decode_expected(fx)
+    kind = kind_of(want)
     if fx.order is not None:
         order = fx.order
     elif fx.kind == "series":
         order = len(fx.expected)
     else:
-        order = max(len(fx.expected) if fx.kind != "fieldelem" else 0, 4)
+        order = max(len(fx.expected) if kind.depth else 0, 4)
     env = Env(order=order,
               r_value=Fraction(fx.set_r) if fx.set_r is not None else None)
     try:
@@ -816,7 +819,7 @@ def run_fixture(fx: Fixture) -> CaseResult:
             fx.id, False,
             f"kind mismatch: got {type(got).__name__}", fx.source
         )
-    diff = _first_diff(got, want, fx.prefix)
+    diff = _first_diff(kind, got, want, fx.prefix)
     if diff is None:
         return CaseResult(fx.id, True, "", fx.source)
     return CaseResult(fx.id, False, diff, fx.source)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .cfrac import JFraction, SFraction
 from .errors import TypeErrorValue
@@ -76,11 +76,15 @@ KINDS = (
 )
 
 
+def kind_of(value) -> Optional[Kind]:
+    return next((k for k in KINDS if isinstance(value, k.cls)), None)
+
+
 def _kind(value, doing: str) -> Kind:
-    for k in KINDS:
-        if isinstance(value, k.cls):
-            return k
-    raise TypeErrorValue(f"cannot {doing} {type(value).__name__}")
+    k = kind_of(value)
+    if k is None:
+        raise TypeErrorValue(f"cannot {doing} {type(value).__name__}")
+    return k
 
 
 def _map(fn, entries, depth: int):
@@ -91,8 +95,8 @@ def _map(fn, entries, depth: int):
 
 
 def kind_name(value) -> str:
-    return next((k.name for k in KINDS if isinstance(value, k.cls)),
-                type(value).__name__)
+    k = kind_of(value)
+    return k.name if k else type(value).__name__
 
 
 def build_value(kind: str, entries, leaf):

@@ -42,6 +42,7 @@ from typing import Sequence, Tuple
 from .errors import DegenerateCfrac, InsufficientDepth, NonUnitConstantTerm, PatternMismatch
 from .ratfun import ONE, ZERO, R, FieldElem, dot, fe
 from .series import Series, divide
+from .triangles import triangle_from_gf
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,6 @@ def _bivariate_weights(rs: Sequence, ss: Sequence, depth: int) -> list:
 def deleham(rs: Sequence, ss: Sequence, rows: int):
     """Triangle whose bivariate gf is 1/(1 - w0 x/(1 - w1 x/(...))) with
     w_k = r_k + s_k y; row n lists the y^k coefficients of [x^n]."""
-    from .triangles import triangle_from_gf
-
     w = _bivariate_weights(rs, ss, max(rows - 1, 0))
     gf = sfrac_to_series(SFraction(w), rows)
     return triangle_from_gf(gf, rows, "ogf")
@@ -225,8 +224,6 @@ def deleham(rs: Sequence, ss: Sequence, rows: int):
 def deleham_delta1(rs: Sequence, ss: Sequence, rows: int):
     """Variant with the first weight at the top level:
     1/(1 - w0 x - w1 x/(1 - w2 x/(1 - ...)))."""
-    from .triangles import triangle_from_gf
-
     w = _bivariate_weights(rs, ss, max(rows + 1, 2))
     prec = rows
     x = Series.x(prec)

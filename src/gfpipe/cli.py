@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .dsl import Call, Env, Name, Num, evaluate, parse
-from .errors import EngineError, ExprError, ParseError
+from .errors import MATH_ERRORS, ExprError, ParseError
 from .formats import format_value
 
 
@@ -45,29 +45,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("table", "csv", "json"),
-                       default="table")
-        p.add_argument("--set", dest="set_r", type=_parse_set, default=None,
-                       metavar="r=p/q",
-                       help="substitute an exact rational for r afterwards")
-
     p_eval = sub.add_parser("eval", help="evaluate an expression")
     p_eval.add_argument("expr")
     p_eval.add_argument("--order", type=int, default=8)
-    common(p_eval)
 
     p_tri = sub.add_parser("triangle", help="expand an expression to a triangle")
     p_tri.add_argument("expr")
     p_tri.add_argument("--rows", type=int, required=True)
     p_tri.add_argument("--mode", choices=("ogf", "egf"), default="ogf")
-    common(p_tri)
 
     p_fix = sub.add_parser("fixtures", help="list or run the golden fixtures")
     group = p_fix.add_mutually_exclusive_group()
     group.add_argument("--list", action="store_true", dest="list_only")
     group.add_argument("--run", nargs="*", metavar="ID", default=None)
-    common(p_fix)
+
+    for p in (p_eval, p_tri, p_fix):
+        p.add_argument("--format", choices=("table", "csv", "json"),
+                       default="table")
+        if p is not p_fix:
+            p.add_argument("--set", dest="set_r", type=_parse_set, default=None,
+                           metavar="r=p/q",
+                           help="substitute an exact rational for r afterwards")
     return top
 
 
@@ -112,10 +110,7 @@ def cli_main(argv=None) -> int:
     except ExprError as exc:
         _diagnose(exc, getattr(args, "expr", ""))
         return 2
-    except EngineError as exc:
-        _diagnose(exc)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except MATH_ERRORS as exc:
         _diagnose(exc)
         return 1
 

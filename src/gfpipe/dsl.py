@@ -23,8 +23,8 @@ from typing import Optional
 
 from . import cfrac, transforms, triangles
 from .errors import ArityError, EngineError, ParseError, TypeErrorValue
-from .formats import kind_name, substitute_value
-from .ratfun import FieldElem
+from .formats import CONVERSIONS, kind_name, substitute_value
+from .ratfun import R, FieldElem
 from .series import Series
 
 MAX_INT_EXPONENT = 64
@@ -339,20 +339,25 @@ class _Evaluator:
     def __init__(self, env: Env):
         self.env = env
 
-    # series context ------------------------------------------------------
+    # reads of one kind -------------------------------------------------
+
+    def of(self, cls: type, node: Node, p: int) -> Value:
+        """The value of ``node`` as a ``cls``, converted through
+        formats.CONVERSIONS when it stands for one."""
+        v = self.value(node, p)
+        if isinstance(v, cls):
+            return v
+        convert = CONVERSIONS.get((type(v), cls))
+        if convert is None:
+            raise TypeErrorValue(
+                f"expected a {kind_name(cls)}, got {kind_name(v)}",
+                node.start,
+                node.end,
+            )
+        return convert(v, p)
 
     def series(self, node: Node, p: int) -> Series:
-        v = self.value(node, p)
-        if isinstance(v, cfrac.JFraction):
-            v = cfrac.jfrac_to_series(v, p)
-        elif isinstance(v, cfrac.SFraction):
-            v = cfrac.sfrac_to_series(v, p)
-        elif isinstance(v, FieldElem):
-            v = Series.constant(v, p)
-        if not isinstance(v, Series):
-            raise TypeErrorValue(
-                f"expected a series, got {kind_name(v)}", node.start, node.end
-            )
+        v = self.of(Series, node, p)
         if v.prec < p:
             raise EngineError(
                 f"internal precision shortfall: have {v.prec}, need {p}"
@@ -381,8 +386,6 @@ class _Evaluator:
         if isinstance(node, VarX):
             return Series.x(p)
         if isinstance(node, ParamR):
-            from .ratfun import R
-
             return Series.constant(R, p)
         if isinstance(node, Name):
             raise TypeErrorValue(
@@ -519,28 +522,11 @@ def _rows(ev, call, arg, p):
     return rows
 
 
-def _tri(ev, call, arg, p):
-    v = ev.value(arg, p)
-    if not isinstance(v, triangles.Triangle):
-        raise TypeErrorValue(
-            f"expected a triangle, got {kind_name(v)}", arg.start, arg.end
-        )
-    return v
-
-
-def _of(kind, what):
-    """A value of type ``kind``, else "{name} expects {what}" over the call.
-    A production matrix passes for the recurrence it determines."""
+def _of(cls):
+    """A value of class ``cls``, or one that stands for it."""
 
     def read(ev, call, arg, p):
-        v = ev.value(arg, p)
-        if isinstance(v, triangles.SquareMatrix) and kind is triangles.RecurrenceCoeffs:
-            v = triangles.recurrence_from_production(v)
-        if not isinstance(v, kind):
-            raise TypeErrorValue(
-                f"{call.name} expects {what}", call.start, call.end
-            )
-        return v
+        return ev.of(cls, arg, p)
 
     return read
 
@@ -595,21 +581,19 @@ _BUILTINS = {
     "sfrac": _builtin(cfrac.SFraction, _scalars),
     "tojfrac": _builtin(cfrac.series_to_jfrac, _ser_order),
     "tosfrac": _builtin(cfrac.series_to_sfrac, _ser_order),
-    "contract": _builtin(
-        cfrac.contract_s_to_j, _of(cfrac.SFraction, "a Stieltjes fraction")
-    ),
+    "contract": _builtin(cfrac.contract_s_to_j, _of(cfrac.SFraction)),
     "deleham": _builtin(cfrac.deleham, _scalars, _scalars, _count),
     "deleham1": _builtin(cfrac.deleham_delta1, _scalars, _scalars, _count),
     "tinv": _builtin(cfrac.t_inverse, _scalar, _scalar, _scalar, _count),
-    "tfwd": _builtin(
-        cfrac.t_forward_image, _of(cfrac.JFraction, "a Jacobi fraction")
-    ),
+    "tfwd": _builtin(cfrac.t_forward_image, _of(cfrac.JFraction)),
     "triangle": _builtin(
         triangles.triangle_from_gf, _Sized(lambda n: n), _count, _mode, optional=1
     ),
-    "reverse": _builtin(triangles.reversal, _tri),
-    "matmul": _builtin(triangles.matmul, _tri, _tri),
-    "inv": _builtin(triangles.tri_inverse, _tri),
+    "reverse": _builtin(triangles.reversal, _of(triangles.Triangle)),
+    "matmul": _builtin(
+        triangles.matmul, _of(triangles.Triangle), _of(triangles.Triangle)
+    ),
+    "inv": _builtin(triangles.tri_inverse, _of(triangles.Triangle)),
     "Bmat": _builtin(triangles.binomial_matrix, _count),
     "riordan": _builtin(
         lambda g, f, n: triangles.riordan_to_triangle(
@@ -636,20 +620,17 @@ _BUILTINS = {
         _Sized(lambda n: n + 2), _Sized(lambda n: n + 2), _count,
     ),
     "recurrence": _builtin(
-        triangles.recurrence_from_production,
-        _of(triangles.SquareMatrix, "a production matrix"),
+        triangles.recurrence_from_production, _of(triangles.SquareMatrix)
     ),
     "orthopoly": _builtin(
-        triangles.orthopoly_triangle,
-        _of(triangles.RecurrenceCoeffs, "a production matrix or recurrence"),
-        _count,
+        triangles.orthopoly_triangle, _of(triangles.RecurrenceCoeffs), _count
     ),
     "oracle": _builtin(triangles.oracle, _name, _integer, _integer),
     "oracletri": _builtin(triangles.oracle_triangle, _name, _count),
     "matrix": _builtin(triangles.SquareMatrix, _rows),
     "matvec": _builtin(
         lambda m, vec: Series(m.apply(vec)),
-        _of(triangles.SquareMatrix, "a matrix"), _scalars,
+        _of(triangles.SquareMatrix), _scalars,
     ),
 }
 

@@ -1,7 +1,7 @@
 """Exception types shared by the engine.
 
-Math-domain failures derive from EngineError and map to exit code 1 in the
-CLI.  Expression-level failures (parsing, arity, operand types) derive from
+Math-domain failures (``MATH_ERRORS``) map to exit code 1 in the CLI.
+Expression-level failures (parsing, arity, operand types) derive from
 ExprError, carry a source span, and map to exit code 2.
 """
 
@@ -68,6 +68,12 @@ class EvaluationPole(EngineError):
 
 class InexactDivision(EngineError):
     """An exact polynomial division left a nonzero remainder."""
+
+
+# EngineError, and what exact arithmetic and the value constructors raise on
+# invalid data (a zero divisor, a matrix that is not square, a Riordan pair
+# expanded too short).
+MATH_ERRORS = (EngineError, ValueError, ZeroDivisionError)
 
 
 class ExprError(Exception):

@@ -15,14 +15,14 @@ as ``0-n`` because the grammar has no unary minus.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cfrac import JFraction, SFraction
 from .dsl import Env, evaluate, parse
-from .errors import EngineError, ExprError
-from .formats import build_value, kind_of
+from .errors import MATH_ERRORS, ExprError
+from .formats import CONVERSIONS, build_value, kind_name, kind_of
 from .ratfun import FieldElem, fe
 
 
@@ -753,7 +753,6 @@ class CaseResult:
     id: str
     passed: bool
     detail: str
-    source: str
 
 
 @dataclass(frozen=True)
@@ -807,22 +806,15 @@ def run_fixture(fx: Fixture) -> CaseResult:
               r_value=Fraction(fx.set_r) if fx.set_r is not None else None)
     try:
         got = evaluate(parse(fx.build), env)
-    except (EngineError, ExprError) as exc:
-        return CaseResult(fx.id, False, f"error: {exc}", fx.source)
-    if fx.kind == "series" and isinstance(got, (JFraction, SFraction)):
-        from .cfrac import jfrac_to_series, sfrac_to_series
-
-        got = (jfrac_to_series if isinstance(got, JFraction) else
-               sfrac_to_series)(got, order)
+    except (ExprError, *MATH_ERRORS) as exc:
+        return CaseResult(fx.id, False, f"error: {exc}")
     if type(got) is not type(want):
-        return CaseResult(
-            fx.id, False,
-            f"kind mismatch: got {type(got).__name__}", fx.source
-        )
+        convert = CONVERSIONS.get((type(got), type(want)))
+        if convert is None:
+            return CaseResult(fx.id, False, f"kind mismatch: got {kind_name(got)}")
+        got = convert(got, order)
     diff = _first_diff(kind, got, want, fx.prefix)
-    if diff is None:
-        return CaseResult(fx.id, True, "", fx.source)
-    return CaseResult(fx.id, False, diff, fx.source)
+    return CaseResult(fx.id, diff is None, diff or "")
 
 
 def run_fixtures(ids=None) -> Report:
@@ -839,8 +831,6 @@ def run_fixtures(ids=None) -> Report:
 
 def render_report(report: Report, fmt: str = "table") -> str:
     if fmt == "json":
-        import json
-
         return json.dumps(
             {
                 "kind": "report",

@@ -11,7 +11,9 @@ recurrence, single coefficient) is one row of ``KINDS``: its class, JSON
 name, how deep its entries nest, how to read and rebuild them, and its
 table layout.  Serialization, rendering, the kind names of diagnostics
 and the substitution of r all run off that table, so a new kind is one
-row.
+row.  ``CONVERSIONS`` says which kind stands for which: a J- or
+S-fraction or a single coefficient for its series, a production matrix
+for its recurrence.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
+from . import cfrac, triangles
 from .cfrac import JFraction, SFraction
 from .errors import TypeErrorValue
 from .ratfun import FieldElem, PONE
@@ -76,6 +79,19 @@ KINDS = (
 )
 
 
+# CONVERSIONS[(given, wanted)](value, prec) is the value of class ``wanted``
+# that ``value`` of class ``given`` stands for, series to precision prec.
+# Each entry calls through the module attribute, so that rebinding it (as
+# perfbench/tracer.py does) reaches these calls too.
+CONVERSIONS = {
+    (JFraction, Series): lambda v, p: cfrac.jfrac_to_series(v, p),
+    (SFraction, Series): lambda v, p: cfrac.sfrac_to_series(v, p),
+    (FieldElem, Series): lambda v, p: Series.constant(v, p),
+    (SquareMatrix, RecurrenceCoeffs):
+        lambda v, p: triangles.recurrence_from_production(v),
+}
+
+
 def kind_of(value) -> Optional[Kind]:
     return next((k for k in KINDS if isinstance(value, k.cls)), None)
 
@@ -95,8 +111,9 @@ def _map(fn, entries, depth: int):
 
 
 def kind_name(value) -> str:
-    k = kind_of(value)
-    return k.name if k else type(value).__name__
+    """The kind name of a value, or of a value class."""
+    cls = value if isinstance(value, type) else type(value)
+    return next((k.name for k in KINDS if issubclass(cls, k.cls)), cls.__name__)
 
 
 def build_value(kind: str, entries, leaf):

@@ -265,10 +265,6 @@ class Series:
 
     # -- evaluation helpers ----------------------------------------------
 
-    def substitute(self, value: Fraction) -> "Series":
-        """Specialize the parameter r in every coefficient."""
-        return Series([c.substitute(value) for c in self.coeffs])
-
     def agrees_with(self, other: "Series") -> bool:
         """Equality of the shared-precision truncations."""
         n = min(self.prec, other.prec)

@@ -289,24 +289,19 @@ def recurrence_from_production(P: SquareMatrix) -> RecurrenceCoeffs:
 
 def orthopoly_triangle(rc: RecurrenceCoeffs, rows: int) -> Triangle:
     """Coefficient rows of the monic polynomials defined by
-    P_n = (x - alpha[n-1]) P_{n-1} - beta[n-2] P_{n-2}, P_0 = 1."""
+    P_n = (x - alpha[n-1]) P_{n-1} - beta[n-2] P_{n-2}, P_0 = 1: each
+    coefficient one ``dot`` of (1, -alpha[n-1], -beta[n-2]) against
+    (P_(n-1)[i-1], P_(n-1)[i], P_(n-2)[i])."""
     if rows > len(rc.alpha) + 1 or (rows > 2 and rows > len(rc.beta) + 2):
         raise ValueError("not enough recurrence coefficients for that many rows")
-    polys = []
-    for n in range(rows):
-        if n == 0:
-            polys.append([ONE])
-            continue
-        prev = polys[n - 1]
-        shifted = [ZERO] + list(prev)               # x * P_{n-1}
-        scaled = [c * rc.alpha[n - 1] for c in prev]
-        cur = [shifted[i] - (scaled[i] if i < len(scaled) else ZERO)
-               for i in range(n + 1)]
-        if n >= 2:
-            for i, c in enumerate(polys[n - 2]):
-                cur[i] = cur[i] - rc.beta[n - 2] * c
-        polys.append(cur)
-    return Triangle(polys)
+    polys = [[ONE]]
+    for n in range(1, rows):
+        step = (ONE, -rc.alpha[n - 1], -rc.beta[n - 2] if n >= 2 else ZERO)
+        prev = [ZERO, *polys[n - 1], ZERO]  # prev[i] = P_(n-1)[i-1]
+        older = [*(polys[n - 2] if n >= 2 else ()), ZERO, ZERO]
+        polys.append([dot(step, (prev[i], prev[i + 1], older[i]))
+                      for i in range(n + 1)])
+    return Triangle(polys[:rows])
 
 
 def moment_functional(moments: Series, p: Sequence, q: Sequence) -> FieldElem:

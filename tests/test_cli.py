@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -208,6 +209,24 @@ class TestFixturesCommand:
         code, out, err = run(capsys, "fixtures", "--run", "nope")
         assert code == 1
         assert "unknown fixture" in err
+
+    def test_exit_1_error_fails_only_its_case(self, capsys, monkeypatch):
+        from gfpipe import fixtures
+
+        bad = replace(fixtures.all_fixtures()[0], id="bad", build="matrix([[1,2]])")
+        monkeypatch.setitem(fixtures._BY_ID, "bad", bad)
+        code, out, err = run(capsys, "fixtures", "--run", "fubini-pipeline",
+                             "bad", "a019538")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "PASS  fubini-pipeline", "FAIL  bad  (error: matrix must be square)",
+            "PASS  a019538", "2/3 fixtures passed"]
+
+    def test_set_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fixtures", "--run", "--set", "r=2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --set r=2" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2(capsys):

@@ -439,8 +439,8 @@ BUILTIN_WRONG_KIND = [
     ("jfrac([x],[1])", TypeErrorValue, "expected a scalar (no x allowed here)", 7, "x"),
     ("sfrac(7)", TypeErrorValue, "expected a list here", 6, "7"),
     ("sfrac([Bmat(2)])", TypeErrorValue, "expected a scalar, got triangle", 7, "Bmat(2)"),
-    ("contract(x)", TypeErrorValue, "contract expects a Stieltjes fraction", 0, "contract(x)"),
-    ("tfwd(x)", TypeErrorValue, "tfwd expects a Jacobi fraction", 0, "tfwd(x)"),
+    ("contract(x)", TypeErrorValue, "expected a sfrac, got series", 9, "x"),
+    ("tfwd(x)", TypeErrorValue, "expected a jfrac, got series", 5, "x"),
     ("deleham(7,[1],3)", TypeErrorValue, "expected a list here", 8, "7"),
     ("deleham([1],7,3)", TypeErrorValue, "expected a list here", 12, "7"),
     ("deleham([1],[1],0)", TypeErrorValue, "expected a count of at least 1, got 0", 16, "0"),
@@ -476,8 +476,8 @@ BUILTIN_WRONG_KIND = [
     ("prodmat(Bmat(2),x,3)", TypeErrorValue, "expected a series, got triangle", 8, "Bmat(2)"),
     ("prodmat(1,Bmat(2),3)", TypeErrorValue, "expected a series, got triangle", 10, "Bmat(2)"),
     ("prodmat(1,x,0)", TypeErrorValue, "expected a count of at least 1, got 0", 12, "0"),
-    ("recurrence(x)", TypeErrorValue, "recurrence expects a production matrix", 0, "recurrence(x)"),
-    ("orthopoly(x,3)", TypeErrorValue, "orthopoly expects a production matrix or recurrence", 0, "orthopoly(x,3)"),
+    ("recurrence(x)", TypeErrorValue, "expected a matrix, got series", 11, "x"),
+    ("orthopoly(x,3)", TypeErrorValue, "expected a recurrence, got series", 10, "x"),
     ("orthopoly(prodmat(exp(x),x,3),0)", TypeErrorValue, "expected a count of at least 1, got 0", 30, "0"),
     ("oracle(7,6,3)", TypeErrorValue, "expected a name here", 7, "7"),
     ("oracle(N3,1/2,3)", TypeErrorValue, "expected an integer", 10, "1/2"),
@@ -488,7 +488,7 @@ BUILTIN_WRONG_KIND = [
     ("matrix(7)", TypeErrorValue, "expected a list here", 7, "7"),
     ("matrix([7])", TypeErrorValue, "expected a list here", 8, "7"),
     ("matrix([[x]])", TypeErrorValue, "expected a scalar (no x allowed here)", 9, "x"),
-    ("matvec(x,[1])", TypeErrorValue, "matvec expects a matrix", 0, "matvec(x,[1])"),
+    ("matvec(x,[1])", TypeErrorValue, "expected a matrix, got series", 7, "x"),
     ("matvec(matrix([[1]]),7)", TypeErrorValue, "expected a list here", 21, "7"),
 ]
 

@@ -121,8 +121,8 @@ def test_prefix_fixture_reports_a_short_result():
     assert result.detail == "lambda: only 4 of 9 entries"
 
 
-ORDERED_BELL_RECURRENCE = (
-    "recurrence(prodmat(1/(1+r*(1-exp(x))),(exp(x)-1)/(1+r*(1-exp(x))),3))")
+ORDERED_BELL_PRODMAT = "prodmat(1/(1+r*(1-exp(x))),(exp(x)-1)/(1+r*(1-exp(x))),3)"
+ORDERED_BELL_RECURRENCE = f"recurrence({ORDERED_BELL_PRODMAT})"
 
 
 @pytest.mark.parametrize("kind,build,expected,detail", [
@@ -135,6 +135,12 @@ ORDERED_BELL_RECURRENCE = (
      "beta[1]: got 4r^2 + 4r, expected 5r^2 + 4r"),
     ("recurrence", ORDERED_BELL_RECURRENCE,
      ([[0, 1], [1, 3]], [[0, 1, 1]]), "alpha: length 3 != 2"),
+    # a value stands for the kind it converts to, as in an argument
+    ("recurrence", ORDERED_BELL_PRODMAT,
+     ([[0, 1], [1, 3], [2, 5]], [[0, 1, 1], [0, 4, 4]]), ""),
+    ("series", "oracle(N1,5,2)", [20, 0, 0], ""),
+    ("series", "Bmat(2)", [1, 1], "kind mismatch: got triangle"),
+    ("recurrence", "jfrac([1],[1])", ([1], []), "kind mismatch: got jfrac"),
 ])
 def test_every_kind_runs_as_a_fixture(kind, build, expected, detail):
     fx = replace(_fixture("fubini-pipeline"), id="adhoc", kind=kind,

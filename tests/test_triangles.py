@@ -37,7 +37,7 @@ from gfpipe.triangles import (
     tri_inverse,
 )
 
-from conftest import field_elems, nonzero_field_elems, small_ints
+from conftest import field_elems, nonzero_field_elems, scalars, small_ints
 
 
 def tri_ints(T):
@@ -373,6 +373,9 @@ class TestRecurrence:
             recurrence_from_production(SquareMatrix([[1, 2], [1, 1]]))
 
 
+constants = st.builds(Fraction, small_ints, st.integers(1, 3)).map(fe)
+
+
 class TestOrthopoly:
     def test_first_rows(self):
         rc = RecurrenceCoeffs([R, R * 3 + 1], [R * (R + 1)])
@@ -385,6 +388,36 @@ class TestOrthopoly:
         rc = RecurrenceCoeffs([0, 0, 0], [0, 0])
         T = orthopoly_triangle(rc, 4)
         assert T == Triangle([[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]])
+
+    @given(st.lists(st.one_of(constants, scalars()), min_size=9, max_size=9),
+           st.lists(st.one_of(constants, scalars()), min_size=8, max_size=8),
+           st.integers(1, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_loop(self, alpha, beta, rows):
+        rc = RecurrenceCoeffs(alpha, beta)
+        got, want = orthopoly_triangle(rc, rows), orthopoly_by_loop(rc, rows)
+        assert [[(c.num, c.den) for c in row] for row in got.rows] == \
+            [[(c.num, c.den) for c in row] for row in want.rows]
+
+
+def orthopoly_by_loop(rc, rows):
+    """P_n = (x - alpha[n-1]) P_(n-1) - beta[n-2] P_(n-2), one product and
+    one difference at a time."""
+    polys = []
+    for n in range(rows):
+        if n == 0:
+            polys.append([ONE])
+            continue
+        prev = polys[n - 1]
+        shifted = [ZERO] + list(prev)               # x * P_(n-1)
+        scaled = [c * rc.alpha[n - 1] for c in prev]
+        cur = [shifted[i] - (scaled[i] if i < len(scaled) else ZERO)
+               for i in range(n + 1)]
+        if n >= 2:
+            for i, c in enumerate(polys[n - 2]):
+                cur[i] = cur[i] - rc.beta[n - 2] * c
+        polys.append(cur)
+    return Triangle(polys)
 
 
 def _family_orthogonality(g, f, size=6):

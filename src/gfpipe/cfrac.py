@@ -36,28 +36,25 @@ and fractions with affine diagonal b0 + n c and weights n^2 mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import DegenerateCfrac, InsufficientDepth, NonUnitConstantTerm, PatternMismatch
 from .ratfun import ONE, ZERO, R, FieldElem, dot, fe
+from .record import Record
 from .series import Series, divide
 from .triangles import triangle_from_gf
 
 
-@dataclass(frozen=True)
-class JFraction:
-    b: tuple
-    lam: tuple
+class JFraction(Record):
+    __slots__ = ("b", "lam")
 
     def __init__(self, b: Sequence, lam: Sequence):
         object.__setattr__(self, "b", tuple(fe(v) for v in b))
         object.__setattr__(self, "lam", tuple(fe(v) for v in lam))
 
 
-@dataclass(frozen=True)
-class SFraction:
-    s: tuple
+class SFraction(Record):
+    __slots__ = ("s",)
 
     def __init__(self, s: Sequence):
         object.__setattr__(self, "s", tuple(fe(v) for v in s))

@@ -17,7 +17,6 @@ matter how many precision-losing steps the expression chains together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -25,6 +24,7 @@ from . import cfrac, transforms, triangles
 from .errors import ArityError, EngineError, ParseError, TypeErrorValue
 from .formats import CONVERSIONS, kind_name, substitute_value
 from .ratfun import R, FieldElem
+from .record import Record
 from .series import Series
 
 MAX_INT_EXPONENT = 64
@@ -39,54 +39,85 @@ MAX_DEPTH = 250
 # -- AST --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Node:
-    start: int = field(default=-1, compare=False)
-    end: int = field(default=-1, compare=False)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+class Node(Record):
+    """A syntax-tree node.  ``start`` and ``end`` are its span in the
+    source text; == and hash ignore them."""
+
+    __slots__ = ("start", "end")
+    _uncompared = ("start", "end")
+
+    def __init__(self, start=-1, end=-1):
+        _set(self, "start", start)
+        _set(self, "end", end)
+
+
 class Num(Node):
-    value: int = 0
+    __slots__ = ("value",)
+
+    def __init__(self, start=-1, end=-1, value=0):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class VarX(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ParamR(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Name(Node):
-    ident: str = ""
+    __slots__ = ("ident",)
+
+    def __init__(self, start=-1, end=-1, ident=""):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "ident", ident)
 
 
-@dataclass(frozen=True)
 class Bin(Node):
-    op: str = "+"
-    left: Node = None
-    right: Node = None
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, start=-1, end=-1, op="+", left=None, right=None):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Pow(Node):
-    base: Node = None
-    exponent: int = 1
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, start=-1, end=-1, base=None, exponent=1):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class Call(Node):
-    name: str = ""
-    args: tuple = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, start=-1, end=-1, name="", args=()):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
 class ListLit(Node):
-    items: tuple = ()
+    __slots__ = ("items",)
+
+    def __init__(self, start=-1, end=-1, items=()):
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "items", items)
 
 
 # -- tokenizer and parser ----------------------------------------------------
@@ -205,7 +236,7 @@ class _Parser:
             node = self.expr()
             close = self.expect(")")
             self.nesting -= 1
-            return replace(node, start=start, end=close[2] + 1)
+            return node.replace(start=start, end=close[2] + 1)
         if kind == "[":
             self.advance()
             self.nest(start)
@@ -315,16 +346,16 @@ def _pp(node: Node, parent_prec: int) -> str:
 # -- values -------------------------------------------------------------------
 
 
-@dataclass
-class Env:
+class Env(Record):
     """Per-invocation evaluation settings."""
 
-    order: int = 8
-    r_value: Optional[Fraction] = None
+    __slots__ = ("order", "r_value")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int = 8, r_value: Optional[Fraction] = None):
+        if order < 1:
             raise ValueError("order must be at least 1")
+        _set(self, "order", order)
+        _set(self, "r_value", r_value)
 
 
 Value = object  # Series | Triangle | JFraction | SFraction | SquareMatrix |

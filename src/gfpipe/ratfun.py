@@ -434,7 +434,14 @@ def dot(xs, ys) -> FieldElem:
                 af = a * f
                 for j, b in enumerate(yn, i):
                     acc[j] += af * b
-    return FieldElem(acc, (d,))
+    num = ptrim(acc)
+    if len(num) <= 1:
+        return FieldElem(num, (d,))
+    # over a positive integer the normal form only needs the content gcd
+    g = _igcd(pcontent(num), d)
+    if g != 1:
+        num, d = tuple(c // g for c in num), d // g
+    return _make(num, (d,))
 
 
 ZERO = FieldElem(PZERO)

@@ -15,23 +15,25 @@ g_tilde = exp(x - Rev(integral of F)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import PipelinePrecondition
 from .ratfun import dot, fe
+from .record import Record
 from .series import Series
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
-    """All intermediate series of one pipeline run."""
+class PipelineTrace(Record):
+    """All intermediate series of one pipeline run: ``g_tilde`` the egf
+    reinterpretation of the input, ``h`` its logarithmic derivative, ``q``
+    the integral of 1 - h vanishing at 0, ``u`` the compositional inverse
+    of q, and ``F`` the derivative of u, the pipeline image."""
 
-    g_tilde: Series  # egf reinterpretation of the input
-    h: Series        # logarithmic derivative of g_tilde
-    q: Series        # integral of 1 - h, vanishing at 0
-    u: Series        # compositional inverse of q
-    F: Series        # derivative of u, the pipeline image
+    __slots__ = ("g_tilde", "h", "q", "u", "F")
+
+    def __init__(self, g_tilde: Series, h: Series, q: Series, u: Series, F: Series):
+        for name, value in zip(self.__slots__, (g_tilde, h, q, u, F)):
+            object.__setattr__(self, name, value)
 
 
 def inverse_sumudu(g: Series) -> Series:

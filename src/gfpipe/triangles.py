@@ -11,7 +11,6 @@ machinery, so they can confirm the generating-function routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Sequence
@@ -25,6 +24,7 @@ from .errors import (
     UnknownOracle,
 )
 from .ratfun import ONE, ZERO, FieldElem, dot, fe
+from .record import Record
 from .series import Series, divide
 from .transforms import sumudu
 
@@ -94,8 +94,7 @@ class SquareMatrix:
         return tuple(dot(row, vec) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class RiordanArray:
+class RiordanArray(Record):
     """Pair (g, f) with g(0) != 0 and f(0) = 0.
 
     Proper group elements also have f'(0) != 0; stretched arrays such as
@@ -104,26 +103,25 @@ class RiordanArray:
     enforce it themselves.
     """
 
-    g: Series
-    f: Series
-    kind: str = "ordinary"  # or "exponential"
+    __slots__ = ("g", "f", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("ordinary", "exponential"):
+    def __init__(self, g: Series, f: Series, kind: str = "ordinary"):
+        if kind not in ("ordinary", "exponential"):
             raise ValueError("kind must be 'ordinary' or 'exponential'")
-        if not self.g.coeffs or self.g.coeffs[0].is_zero():
+        if not g.coeffs or g.coeffs[0].is_zero():
             raise ValueError("Riordan g needs a nonzero constant term")
-        if self.f.prec < 2 or not self.f.coeffs[0].is_zero():
+        if f.prec < 2 or not f.coeffs[0].is_zero():
             raise ValueError("Riordan f needs f(0) = 0")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
+class RecurrenceCoeffs(Record):
     """Three-term recurrence data read off a tridiagonal production matrix:
     alpha[n] = P[n][n], beta[n] = P[n+1][n]."""
 
-    alpha: tuple
-    beta: tuple
+    __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: Sequence, beta: Sequence):
         object.__setattr__(self, "alpha", tuple(fe(v) for v in alpha))

@@ -1,8 +1,12 @@
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gfpipe
 from gfpipe.cli import cli_main
 
 
@@ -213,8 +217,8 @@ class TestFixturesCommand:
     def test_exit_1_error_fails_only_its_case(self, capsys, monkeypatch):
         from gfpipe import fixtures
 
-        bad = replace(fixtures.all_fixtures()[0], id="bad", build="matrix([[1,2]])")
-        monkeypatch.setitem(fixtures._BY_ID, "bad", bad)
+        bad = fixtures.all_fixtures()[0].replace(id="bad", build="matrix([[1,2]])")
+        monkeypatch.setitem(fixtures._by_id(), "bad", bad)
         code, out, err = run(capsys, "fixtures", "--run", "fubini-pipeline",
                              "bad", "a019538")
         assert (code, err) == (1, "")
@@ -273,3 +277,26 @@ def test_reused_parser_matches_a_fresh_one(capsys):
         fresh.append(outcome(capsys, argv))
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 1, 0, 2, 0, 2]
+
+
+def test_startup_imports_no_dataclasses():
+    """A CLI call imports neither ``dataclasses`` nor the ``inspect`` it
+    pulls in, and finds the golden data beside the fixtures module."""
+    pkg = Path(gfpipe.__file__).resolve().parent
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gfpipe.cli, gfpipe.fixtures\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "print(gfpipe.fixtures._DATA)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    imported, data = out.stdout.splitlines()
+    assert "gfpipe.fixtures" in imported.split()
+    assert not {"dataclasses", "inspect"} & set(imported.split())
+    assert Path(data) == pkg / "fixtures.json" and Path(data).is_file()
+    pyproject = (pkg.parent.parent / "pyproject.toml").read_text()
+    assert '[tool.setuptools.package-data]\ngfpipe = ["fixtures.json"]' in pyproject

@@ -139,6 +139,19 @@ def test_pretty_round_trip_fixed_point(text):
     assert pretty(ast2) == printed
 
 
+def test_syntax_nodes_are_frozen_records_compared_without_their_span():
+    a, b = parse("x+1"), parse(" (x+1)")
+    assert (a.start, a.end, b.start, b.end) == (0, 3, 1, 6)
+    assert a == b and hash(a) == hash(b) and a != parse("x+2")
+    assert Num(0, 1, 7) != Name(0, 1, "7")
+    assert repr(Num(0, 1, 7)) == "Num(start=0, end=1, value=7)"
+    assert a.replace(op="-") == parse("x-1")
+    with pytest.raises(AttributeError):
+        a.start = 3
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        Env(order=4).replace(order=0)
+
+
 def test_pretty_round_trip_on_fixture_builds():
     from gfpipe.fixtures import all_fixtures
 

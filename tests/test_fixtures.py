@@ -1,9 +1,14 @@
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gfpipe
 from gfpipe.fixtures import (
+    _load,
     all_fixtures,
     decode_expected,
     render_report,
@@ -62,7 +67,7 @@ def test_unknown_id_raises():
 
 def test_failure_reports_first_difference():
     fx = next(f for f in all_fixtures() if f.id == "fubini-pipeline")
-    bad = replace(fx, expected=[1, 1, 3, 14])
+    bad = fx.replace(expected=[1, 1, 3, 14])
     result = run_fixture(bad)
     assert not result.passed
     assert "entry[3]" in result.detail and "13" in result.detail
@@ -76,6 +81,38 @@ def test_report_renders_in_three_formats():
     assert csv_text.splitlines()[0].startswith("fubini-pipeline,PASS")
     blob = json.loads(render_report(report, "json"))
     assert blob["kind"] == "report" and len(blob["cases"]) == 2
+
+
+ROW = {"id": "one", "kind": "series", "build": "1", "expected": [1], "source": "one"}
+
+
+@pytest.mark.parametrize("row,message", [
+    ({**ROW, "sorce": "typo"}, "fixture 'one': .*'sorce'"),
+    ({k: v for k, v in ROW.items() if k != "source"}, "fixture 'one': .*'source'"),
+    ({k: v for k, v in ROW.items() if k != "id"}, "fixture None: .*'id'"),
+])
+def test_load_names_the_fixture_of_a_bad_row(row, message):
+    assert list(_load(json.dumps([ROW]))) == ["one"]
+    with pytest.raises(ValueError, match=message):
+        _load(json.dumps([ROW, row]))
+
+
+def test_duplicate_id_check_survives_optimize_flag():
+    src = str(Path(gfpipe.__file__).resolve().parent.parent)
+    code = (
+        "import json\n"
+        "from gfpipe.fixtures import _load\n"
+        f"row = {ROW!r}\n"
+        "try:\n"
+        "    print(len(_load(json.dumps([row, row]))))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "duplicate fixture id 'one'"
 
 
 def test_expected_data_decodes_for_all():
@@ -108,7 +145,7 @@ def _mutated(expected, path):
 def test_failure_names_the_first_differing_index(fid, path, label):
     fx = _fixture(fid)
     assert run_fixture(fx).passed
-    result = run_fixture(replace(fx, expected=_mutated(fx.expected, path)))
+    result = run_fixture(fx.replace(expected=_mutated(fx.expected, path)))
     assert not result.passed
     assert result.detail.startswith(label + ": got ")
 
@@ -116,7 +153,7 @@ def test_failure_names_the_first_differing_index(fid, path, label):
 def test_prefix_fixture_reports_a_short_result():
     fx = _fixture("fubini-contract")
     b, lam = fx.expected
-    result = run_fixture(replace(fx, expected=(b, lam + [50, 72, 98, 128, 162])))
+    result = run_fixture(fx.replace(expected=(b, lam + [50, 72, 98, 128, 162])))
     assert not result.passed
     assert result.detail == "lambda: only 4 of 9 entries"
 
@@ -143,8 +180,8 @@ ORDERED_BELL_RECURRENCE = f"recurrence({ORDERED_BELL_PRODMAT})"
     ("recurrence", "jfrac([1],[1])", ([1], []), "kind mismatch: got jfrac"),
 ])
 def test_every_kind_runs_as_a_fixture(kind, build, expected, detail):
-    fx = replace(_fixture("fubini-pipeline"), id="adhoc", kind=kind,
-                 build=build, expected=expected)
+    fx = _fixture("fubini-pipeline").replace(id="adhoc", kind=kind,
+                                             build=build, expected=expected)
     assert fx.order is None
     result = run_fixture(fx)
     assert (result.passed, result.detail) == (not detail, detail)

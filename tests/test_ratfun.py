@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gfpipe
@@ -201,6 +201,11 @@ operand_lists = st.sampled_from(sorted(_OPERANDS)).flatmap(
 
 @given(operand_lists)
 @settings(max_examples=300, deadline=None)
+# Z[r] numerators over integer denominators: the sum over d = 1, over d = 9
+# with content 2 to cancel, and over d = 2 with nothing to cancel
+@example(([FieldElem((1, 2, 3)), R], [fe(2), FieldElem((1, -1))]))
+@example(([FieldElem((2, 2), (3,)), FieldElem((0, 4), (9,))], [fe(Fraction(1, 2)), ONE]))
+@example(([FieldElem((1, 1), (2,))], [ONE]))
 def test_dot_matches_the_left_fold(lists):
     xs, ys = lists
     got, want = dot(xs, ys), fold(xs, ys)

@@ -49,15 +49,14 @@ class JFraction(Record):
     __slots__ = ("b", "lam")
 
     def __init__(self, b: Sequence, lam: Sequence):
-        object.__setattr__(self, "b", tuple(fe(v) for v in b))
-        object.__setattr__(self, "lam", tuple(fe(v) for v in lam))
+        super().__init__(tuple(fe(v) for v in b), tuple(fe(v) for v in lam))
 
 
 class SFraction(Record):
     __slots__ = ("s",)
 
     def __init__(self, s: Sequence):
-        object.__setattr__(self, "s", tuple(fe(v) for v in s))
+        super().__init__(tuple(fe(v) for v in s))
 
 
 def _tableau(b: Sequence, lam: Sequence, depth: int, prec: int) -> Series:

@@ -88,8 +88,8 @@ def cli_main(argv=None) -> int:
         if args.command != "fixtures":
             ast, order = parse(args.expr), getattr(args, "order", None)
             if args.command == "triangle":
-                ast = Call(name="triangle",
-                           args=(ast, Num(value=args.rows), Name(ident=args.mode)))
+                ast = Call(-1, -1, "triangle",
+                           (ast, Num(-1, -1, args.rows), Name(-1, -1, args.mode)))
                 order = args.rows
             value = evaluate(ast, Env(order=order, r_value=args.set_r))
             print(format_value(value, args.format))

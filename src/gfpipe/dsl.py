@@ -39,9 +39,6 @@ MAX_DEPTH = 250
 # -- AST --------------------------------------------------------------------
 
 
-_set = object.__setattr__
-
-
 class Node(Record):
     """A syntax-tree node.  ``start`` and ``end`` are its span in the
     source text; == and hash ignore them."""
@@ -49,18 +46,9 @@ class Node(Record):
     __slots__ = ("start", "end")
     _uncompared = ("start", "end")
 
-    def __init__(self, start=-1, end=-1):
-        _set(self, "start", start)
-        _set(self, "end", end)
-
 
 class Num(Node):
     __slots__ = ("value",)
-
-    def __init__(self, start=-1, end=-1, value=0):
-        _set(self, "start", start)
-        _set(self, "end", end)
-        _set(self, "value", value)
 
 
 class VarX(Node):
@@ -74,50 +62,21 @@ class ParamR(Node):
 class Name(Node):
     __slots__ = ("ident",)
 
-    def __init__(self, start=-1, end=-1, ident=""):
-        _set(self, "start", start)
-        _set(self, "end", end)
-        _set(self, "ident", ident)
-
 
 class Bin(Node):
     __slots__ = ("op", "left", "right")
-
-    def __init__(self, start=-1, end=-1, op="+", left=None, right=None):
-        _set(self, "start", start)
-        _set(self, "end", end)
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 class Pow(Node):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, start=-1, end=-1, base=None, exponent=1):
-        _set(self, "start", start)
-        _set(self, "end", end)
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-
 
 class Call(Node):
     __slots__ = ("name", "args")
 
-    def __init__(self, start=-1, end=-1, name="", args=()):
-        _set(self, "start", start)
-        _set(self, "end", end)
-        _set(self, "name", name)
-        _set(self, "args", args)
-
 
 class ListLit(Node):
     __slots__ = ("items",)
-
-    def __init__(self, start=-1, end=-1, items=()):
-        _set(self, "start", start)
-        _set(self, "end", end)
-        _set(self, "items", items)
 
 
 # -- tokenizer and parser ----------------------------------------------------
@@ -199,6 +158,16 @@ class _Parser:
                 f"brackets nested more than {MAX_NESTING} deep", start, ()
             )
 
+    def integer(self, tok) -> int:
+        """The value of an int token; one longer than int() converts is
+        reported at its offset."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise ParseError(
+                f"integer literal too long ({len(tok[1])} digits)", tok[2], ()
+            ) from None
+
     def expr(self) -> Node:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
@@ -220,8 +189,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            e = int(tok[1])
-            node = Pow(node.start, tok[2] + len(tok[1]), node, e)
+            node = Pow(node.start, tok[2] + len(tok[1]), node, self.integer(tok))
         return node
 
     def atom(self) -> Node:
@@ -229,7 +197,7 @@ class _Parser:
         kind, textv, start = tok
         if kind == "int":
             self.advance()
-            return Num(start, start + len(textv), int(textv))
+            return Num(start, start + len(textv), self.integer(tok))
         if kind == "(":
             self.advance()
             self.nest(start)
@@ -354,8 +322,7 @@ class Env(Record):
     def __init__(self, order: int = 8, r_value: Optional[Fraction] = None):
         if order < 1:
             raise ValueError("order must be at least 1")
-        _set(self, "order", order)
-        _set(self, "r_value", r_value)
+        super().__init__(order, r_value)
 
 
 Value = object  # Series | Triangle | JFraction | SFraction | SquareMatrix |

@@ -45,9 +45,7 @@ class Fixture(Record):
     def __init__(self, id: str, kind: str, build: str, expected, source: str,
                  order: Optional[int] = None, set_r: Optional[str] = None,
                  prefix: bool = False):
-        for name, value in zip(self.__slots__, (id, kind, build, expected, source,
-                                                order, set_r, prefix)):
-            object.__setattr__(self, name, value)
+        super().__init__(id, kind, build, expected, source, order, set_r, prefix)
 
 
 def _lit(v) -> FieldElem:
@@ -93,17 +91,9 @@ def all_fixtures() -> tuple:
 class CaseResult(Record):
     __slots__ = ("id", "passed", "detail")
 
-    def __init__(self, id: str, passed: bool, detail: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 class Report(Record):
     __slots__ = ("cases",)
-
-    def __init__(self, cases: tuple):
-        object.__setattr__(self, "cases", cases)
 
     @property
     def all_passed(self) -> bool:

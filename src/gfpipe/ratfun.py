@@ -133,20 +133,17 @@ def pdiv_exact(a: Poly, b: Poly) -> Poly:
 
 
 def _prem(a: Poly, b: Poly) -> Poly:
-    """Pseudo-remainder of a by b (fraction-free)."""
+    """Pseudo-remainder of a by b (fraction-free); a and b are trimmed."""
     rem = list(a)
     db, lb = pdeg(b), b[-1]
-    while len(rem) - 1 >= db and ptrim(rem):
-        rem = ptrim(rem)
-        if not rem or len(rem) - 1 < db:
-            break
+    while len(rem) - 1 >= db:
         lead = rem[-1]
         shift = len(rem) - 1 - db
         rem = [c * lb for c in rem]
         for j, cb in enumerate(b):
             rem[shift + j] -= lead * cb
         rem = list(ptrim(rem))
-    return ptrim(rem)
+    return tuple(rem)
 
 
 def pgcd(a: Poly, b: Poly) -> Poly:
@@ -185,7 +182,7 @@ def peval(a: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def pstr(a: Poly, var: str = "r") -> str:
+def pstr(a: Poly) -> str:
     """Render in descending powers with explicit signs."""
     if not a:
         return "0"
@@ -198,7 +195,7 @@ def pstr(a: Poly, var: str = "r") -> str:
         if k == 0:
             body = str(mag)
         else:
-            v = var if k == 1 else f"{var}^{k}"
+            v = "r" if k == 1 else f"r^{k}"
             body = v if mag == 1 else f"{mag}{v}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

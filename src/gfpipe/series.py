@@ -263,13 +263,6 @@ class Series:
             raise NonUnitConstantTerm("rational powers need constant term 1")
         return (self.log() * fe(e)).exp()
 
-    # -- evaluation helpers ----------------------------------------------
-
-    def agrees_with(self, other: "Series") -> bool:
-        """Equality of the shared-precision truncations."""
-        n = min(self.prec, other.prec)
-        return self.coeffs[:n] == other.coeffs[:n]
-
 
 def _as_series(v, prec: int) -> Series:
     if isinstance(v, Series):

@@ -31,10 +31,6 @@ class PipelineTrace(Record):
 
     __slots__ = ("g_tilde", "h", "q", "u", "F")
 
-    def __init__(self, g_tilde: Series, h: Series, q: Series, u: Series, F: Series):
-        for name, value in zip(self.__slots__, (g_tilde, h, q, u, F)):
-            object.__setattr__(self, name, value)
-
 
 def inverse_sumudu(g: Series) -> Series:
     """Divide coefficient n by n!: same sequence, read as an egf."""
@@ -97,7 +93,7 @@ def pipeline_P_trace(g: Series) -> PipelineTrace:
     q = (Series.one(h.prec) - h).integrate()
     u = q.revert()
     F = u.derivative()
-    return PipelineTrace(g_tilde=g_tilde, h=h, q=q, u=u, F=F)
+    return PipelineTrace(g_tilde, h, q, u, F)
 
 
 def pipeline_P(g: Series) -> Series:

@@ -29,63 +29,38 @@ from .series import Series, divide
 from .transforms import sumudu
 
 
-class Triangle:
+class Triangle(Record):
     """Lower-triangular array; row n holds entries T(n,0) .. T(n,n)."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(fe(v) for v in row) for row in rows)
-        for n, row in enumerate(self.rows):
+        rows = tuple(tuple(fe(v) for v in row) for row in rows)
+        for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
+        super().__init__(rows)
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, Triangle):
-            return NotImplemented
-        return self.rows == other.rows
 
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(v) for v in row) for row in self.rows[:5]
-        )
-        more = " ..." if self.n_rows > 5 else ""
-        return f"Triangle[{body}{more}]"
-
-
-class SquareMatrix:
+class SquareMatrix(Record):
     """Dense square matrix of Q(r) entries (production-matrix truncations)."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(fe(v) for v in row) for row in rows)
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n:
+        rows = tuple(tuple(fe(v) for v in row) for row in rows)
+        for row in rows:
+            if len(row) != len(rows):
                 raise ValueError("matrix must be square")
+        super().__init__(rows)
 
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"SquareMatrix({self.size}x{self.size})"
 
     def apply(self, vec: Sequence) -> tuple:
         vec = [fe(v) for v in vec]
@@ -112,9 +87,7 @@ class RiordanArray(Record):
             raise ValueError("Riordan g needs a nonzero constant term")
         if f.prec < 2 or not f.coeffs[0].is_zero():
             raise ValueError("Riordan f needs f(0) = 0")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "kind", kind)
+        super().__init__(g, f, kind)
 
 
 class RecurrenceCoeffs(Record):
@@ -124,8 +97,7 @@ class RecurrenceCoeffs(Record):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: Sequence, beta: Sequence):
-        object.__setattr__(self, "alpha", tuple(fe(v) for v in alpha))
-        object.__setattr__(self, "beta", tuple(fe(v) for v in beta))
+        super().__init__(tuple(fe(v) for v in alpha), tuple(fe(v) for v in beta))
 
 
 # -- construction ----------------------------------------------------------

@@ -108,6 +108,15 @@ class TestRobustness:
         code, out, err = run(capsys, "eval", "+".join(["x"] * 3000))
         assert code == 2 and "nested more than" in err
 
+    @pytest.mark.parametrize("expr,offset", [("9" * 5000, 0), ("x^" + "9" * 5000, 2)])
+    def test_overlong_integer_literal_is_a_parse_error(self, capsys, expr, offset):
+        code, out, err = run(capsys, "eval", expr)
+        assert code == 2 and out == ""
+        assert err.splitlines()[1:] == [
+            " " * offset + "^",
+            f"error: integer literal too long (5000 digits) (at offset {offset})",
+        ]
+
     @pytest.mark.parametrize("expr", ["powq(1+x,1/0)", "1/0", "x/(r-r)"])
     def test_scalar_division_by_zero(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr, "--order", "3")

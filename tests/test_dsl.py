@@ -29,7 +29,7 @@ from gfpipe.errors import (
     TypeErrorValue,
 )
 from gfpipe.formats import format_value, from_json, to_json
-from gfpipe.ratfun import R, fe
+from gfpipe.ratfun import R, FieldElem, fe
 from gfpipe.series import Series
 from gfpipe.transforms import sumudu
 from gfpipe.triangles import RecurrenceCoeffs, SquareMatrix, Triangle
@@ -150,6 +150,35 @@ def test_syntax_nodes_are_frozen_records_compared_without_their_span():
         a.start = 3
     with pytest.raises(ValueError, match="order must be at least 1"):
         Env(order=4).replace(order=0)
+    with pytest.raises(TypeError, match="Num takes 3 field"):
+        Num(0, 1)
+    with pytest.raises(TypeError, match="Bin has no field 'nosuch'"):
+        a.replace(nosuch=1)
+
+
+@pytest.mark.parametrize("cls", [Triangle, SquareMatrix])
+def test_triangles_and_matrices_are_frozen_records(cls):
+    m = cls([[1]])
+    with pytest.raises(AttributeError):
+        m.rows = ()
+    assert m == cls([[fe(1)]]) and hash(m) == hash(cls([[fe(1)]]))
+    assert m != (SquareMatrix if cls is Triangle else Triangle)([[1]])
+    with pytest.raises(TypeError, match=f"{cls.__name__} has no field 'nosuch'"):
+        m.replace(nosuch=1)
+
+
+def test_replace_runs_the_conversion_of_a_checked_record():
+    from gfpipe.fixtures import Fixture, all_fixtures
+
+    j = JFraction([1], []).replace(lam=[2])
+    assert j.lam == (fe(2),) and isinstance(j.lam[0], FieldElem)
+    with pytest.raises(ValueError, match="row 1 must have 2 entries"):
+        Triangle([[1]]).replace(rows=[[1], [1, 2, 3]])
+    fx = all_fixtures()[0]
+    moved = fx.replace(order=3)
+    assert isinstance(moved, Fixture) and moved.order == 3
+    assert moved == Fixture(fx.id, fx.kind, fx.build, fx.expected, fx.source,
+                            3, fx.set_r, fx.prefix)
 
 
 def test_pretty_round_trip_on_fixture_builds():

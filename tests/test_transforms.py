@@ -25,6 +25,12 @@ def ints(series):
     return [c.as_fraction() for c in series]
 
 
+def agree(a, b):
+    """Equality of the shared-precision truncations of two series."""
+    n = min(a.prec, b.prec)
+    return a.coeffs[:n] == b.coeffs[:n]
+
+
 FUBINI_G = from_ratfun([1], [1, 0, -1], 10)
 
 
@@ -194,7 +200,7 @@ class TestReversePipeline:
             Series.one(prec) + Series([0, 2] + [0] * (prec - 2)).exp()
         )
         gt = reverse_P(sech)
-        assert pipeline_P(sumudu(gt)).agrees_with(sech)
+        assert agree(pipeline_P(sumudu(gt)), sech)
 
     def test_sech_printed_preimage_needs_shifted_chain(self):
         # the companion chain exp(int(-(Rev int F)'')) produces the
@@ -224,6 +230,6 @@ class TestReversePipeline:
             assert g[0] == ONE and g[1] == ZERO
             F = pipeline_P(g)
             back = sumudu(reverse_P(F))
-            assert back.agrees_with(g)
+            assert agree(back, g)
             again = pipeline_P(sumudu(reverse_P(F)))
-            assert again.agrees_with(F)
+            assert agree(again, F)

@@ -70,9 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _diagnose(exc: Exception, expr: str = "") -> None:
-    if isinstance(exc, ParseError) and expr and 0 <= exc.position <= len(expr):
+    if isinstance(exc, ParseError) and expr and 0 <= exc.start <= len(expr):
         print(expr, file=sys.stderr)
-        print(" " * exc.position + "^", file=sys.stderr)
+        print(" " * exc.start + "^", file=sys.stderr)
     print(f"error: {exc}", file=sys.stderr)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cfrac, transforms, triangles
-from .errors import ArityError, EngineError, ParseError, TypeErrorValue
+from .errors import ArityError, ParseError, TypeErrorValue
 from .formats import CONVERSIONS, kind_name, substitute_value
 from .ratfun import R, FieldElem
 from .record import Record
@@ -82,6 +82,7 @@ class ListLit(Node):
 # -- tokenizer and parser ----------------------------------------------------
 
 _SYMBOLS = "+-*/^()[],"
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str):
@@ -92,9 +93,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -110,7 +111,7 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", i, ("token",))
+        raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
 
@@ -134,9 +135,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] != kind:
             raise ParseError(
-                f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
-                tok[2],
-                (kind,),
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2]
             )
         return self.advance()
 
@@ -144,9 +143,7 @@ class _Parser:
         node = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise ParseError(
-                f"unexpected {tok[1]!r} after expression", tok[2], ("end",)
-            )
+            raise ParseError(f"unexpected {tok[1]!r} after expression", tok[2])
         _check_depth(node)
         return node
 
@@ -154,9 +151,7 @@ class _Parser:
         """Enter a bracket opened at ``start``; see MAX_NESTING."""
         self.nesting += 1
         if self.nesting > MAX_NESTING:
-            raise ParseError(
-                f"brackets nested more than {MAX_NESTING} deep", start, ()
-            )
+            raise ParseError(f"brackets nested more than {MAX_NESTING} deep", start)
 
     def integer(self, tok) -> int:
         """The value of an int token; one longer than int() converts is
@@ -165,7 +160,7 @@ class _Parser:
             return int(tok[1])
         except ValueError:
             raise ParseError(
-                f"integer literal too long ({len(tok[1])} digits)", tok[2], ()
+                f"integer literal too long ({len(tok[1])} digits)", tok[2]
             ) from None
 
     def expr(self) -> Node:
@@ -227,9 +222,7 @@ class _Parser:
                 return Call(start, close[2] + 1, textv, tuple(args))
             return Name(start, start + len(textv), textv)
         raise ParseError(
-            f"expected a value, found {textv or 'end of input'!r}",
-            start,
-            ("int", "ident", "(", "["),
+            f"expected a value, found {textv or 'end of input'!r}", start
         )
 
     def args(self, closer: str):
@@ -263,9 +256,7 @@ def _check_depth(root: Node) -> None:
         if not level:
             return
     raise ParseError(
-        f"expression nested more than {MAX_DEPTH} levels deep",
-        level[0].start,
-        (),
+        f"expression nested more than {MAX_DEPTH} levels deep", level[0].start
     )
 
 
@@ -357,8 +348,10 @@ class _Evaluator:
     def series(self, node: Node, p: int) -> Series:
         v = self.of(Series, node, p)
         if v.prec < p:
-            raise EngineError(
-                f"internal precision shortfall: have {v.prec}, need {p}"
+            raise TypeErrorValue(
+                f"{pretty(node)} has {v.prec} coefficient(s), {p} needed",
+                node.start,
+                node.end,
             )
         return v.truncate(p) if v.prec > p else v
 
@@ -429,28 +422,28 @@ class _Evaluator:
 # -- builtins ----------------------------------------------------------------
 #
 # Every builtin is one row of _BUILTINS: the engine function and one reader
-# per argument.  A reader ``read(ev, call, arg, p)`` returns the value of
-# argument ``arg`` of ``call`` at precision ``p``, or raises its diagnostic.
+# per argument.  A reader ``read(ev, arg, p)`` returns the value of the
+# argument node ``arg`` at precision ``p``, or raises its diagnostic.
 # Arguments are read left to right, except that a series sized by the count
 # (_Sized) is read after all the others, so the first fault found is the
 # one reported.
 
 
-def _ser(ev, call, arg, p):
+def _ser(ev, arg, p):
     return ev.series(arg, p)
 
 
-def _ser_up(ev, call, arg, p):
+def _ser_up(ev, arg, p):
     """One more order, for builtins that lose one."""
     return ev.series(arg, p + 1)
 
 
-def _ser_down(ev, call, arg, p):
+def _ser_down(ev, arg, p):
     """One order less, for integration, which gains one."""
     return ev.series(arg, max(p - 1, 0))
 
 
-def _ser_order(ev, call, arg, p):
+def _ser_order(ev, arg, p):
     """The top-level order, whatever the caller asks for."""
     return ev.series(arg, ev.env.order)
 
@@ -462,11 +455,11 @@ class _Sized:
         self.rule = rule
 
 
-def _scalar(ev, call, arg, p):
+def _scalar(ev, arg, p):
     return ev.scalar(arg)
 
 
-def _rational(ev, call, arg, p, what="a rational constant"):
+def _rational(ev, arg, p, what="a rational constant"):
     v = ev.scalar(arg)
     try:
         return v.as_fraction()
@@ -474,15 +467,15 @@ def _rational(ev, call, arg, p, what="a rational constant"):
         raise TypeErrorValue(f"expected {what}", arg.start, arg.end)
 
 
-def _integer(ev, call, arg, p):
-    q = _rational(ev, call, arg, p, "an integer")
+def _integer(ev, arg, p):
+    q = _rational(ev, arg, p, "an integer")
     if q.denominator != 1:
         raise TypeErrorValue("expected an integer", arg.start, arg.end)
     return int(q)
 
 
-def _count(ev, call, arg, p):
-    n = _integer(ev, call, arg, p)
+def _count(ev, arg, p):
+    n = _integer(ev, arg, p)
     if n < 1:
         raise TypeErrorValue(
             f"expected a count of at least 1, got {n}", arg.start, arg.end
@@ -490,14 +483,14 @@ def _count(ev, call, arg, p):
     return n
 
 
-def _name(ev, call, arg, p):
+def _name(ev, arg, p):
     if not isinstance(arg, Name):
         raise TypeErrorValue("expected a name here", arg.start, arg.end)
     return arg.ident
 
 
-def _mode(ev, call, arg, p):
-    mode = _name(ev, call, arg, p)
+def _mode(ev, arg, p):
+    mode = _name(ev, arg, p)
     if mode not in ("ogf", "egf"):
         raise TypeErrorValue("triangle mode must be ogf or egf", arg.start, arg.end)
     return mode
@@ -509,12 +502,12 @@ def _items(arg):
     return arg.items
 
 
-def _scalars(ev, call, arg, p):
+def _scalars(ev, arg, p):
     return [ev.scalar(item) for item in _items(arg)]
 
 
-def _rows(ev, call, arg, p):
-    rows = [_scalars(ev, call, row, p) for row in _items(arg)]
+def _rows(ev, arg, p):
+    rows = [_scalars(ev, row, p) for row in _items(arg)]
     if not rows:
         raise TypeErrorValue("a matrix needs at least one row", arg.start, arg.end)
     return rows
@@ -523,7 +516,7 @@ def _rows(ev, call, arg, p):
 def _of(cls):
     """A value of class ``cls``, or one that stands for it."""
 
-    def read(ev, call, arg, p):
+    def read(ev, arg, p):
         return ev.of(cls, arg, p)
 
     return read
@@ -543,7 +536,7 @@ def _builtin(fn, *readers, optional=0):
                 f"{node.name} expects {want}, got {k}", node.start, node.end
             )
         args = [
-            None if isinstance(read, _Sized) else read(ev, node, arg, p)
+            None if isinstance(read, _Sized) else read(ev, arg, p)
             for read, arg in zip(readers, node.args)
         ]
         for i, read in enumerate(readers[:k]):
@@ -594,27 +587,21 @@ _BUILTINS = {
     "inv": _builtin(triangles.tri_inverse, _of(triangles.Triangle)),
     "Bmat": _builtin(triangles.binomial_matrix, _count),
     "riordan": _builtin(
-        lambda g, f, n: triangles.riordan_to_triangle(
-            triangles.RiordanArray(g, f, "ordinary"), n
-        ),
+        lambda g, f, n: triangles.riordan_to_triangle(triangles.RiordanArray(g, f), n),
         _Sized(lambda n: max(n, 2)), _Sized(lambda n: max(n, 2)), _count,
     ),
     "eriordan": _builtin(
         lambda g, f, n: triangles.riordan_to_triangle(
-            triangles.RiordanArray(g, f, "exponential"), n
+            triangles.RiordanArray(g, f), n, exponential=True
         ),
         _Sized(lambda n: max(n, 2)), _Sized(lambda n: max(n, 2)), _count,
     ),
     "rapply": _builtin(
-        lambda g, f, h: triangles.riordan_apply(
-            triangles.RiordanArray(g, f, "ordinary"), h
-        ),
+        lambda g, f, h: triangles.riordan_apply(triangles.RiordanArray(g, f), h),
         _ser, _ser, _ser,
     ),
     "prodmat": _builtin(
-        lambda g, f, n: triangles.production_matrix(
-            triangles.RiordanArray(g, f, "exponential"), n
-        ),
+        lambda g, f, n: triangles.production_matrix(triangles.RiordanArray(g, f), n),
         _Sized(lambda n: n + 2), _Sized(lambda n: n + 2), _count,
     ),
     "recurrence": _builtin(

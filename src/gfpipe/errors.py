@@ -79,10 +79,10 @@ MATH_ERRORS = (EngineError, ValueError, ZeroDivisionError)
 class ExprError(Exception):
     """An error in an expression, carrying the offending source span."""
 
-    def __init__(self, message: str, start: int = -1, end: int = -1):
+    def __init__(self, message: str, start: int = -1, end: int | None = None):
         super().__init__(message)
         self.start = start
-        self.end = end
+        self.end = start if end is None else end
 
     def __str__(self) -> str:
         base = super().__str__()
@@ -92,12 +92,7 @@ class ExprError(Exception):
 
 
 class ParseError(ExprError):
-    """Tokenizer/parser failure with position and expected-token set."""
-
-    def __init__(self, message: str, position: int, expected: tuple = ()):
-        super().__init__(message, position, position)
-        self.position = position
-        self.expected = tuple(expected)
+    """Tokenizer/parser failure at one offset (``end`` equals ``start``)."""
 
 
 class ArityError(ExprError):

@@ -2,7 +2,7 @@
 
 Three formats: ``table`` (aligned, human-readable, polynomials in
 descending powers of r with explicit signs), ``csv`` (one row per line,
-minimal quoting), and ``json`` (loss-free; every coefficient is carried as
+comma-separated), and ``json`` (loss-free; every coefficient is carried as
 decimal strings of unbounded size).  JSON writing is deterministic, so
 decode-then-encode is byte-identical.
 
@@ -18,7 +18,6 @@ for its recurrence.
 
 from __future__ import annotations
 
-import io
 import json
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -26,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 from . import cfrac, triangles
 from .cfrac import JFraction, SFraction
 from .errors import TypeErrorValue
-from .ratfun import FieldElem, PONE
+from .ratfun import FieldElem, PONE, iparse, istr
 from .series import Series
 from .triangles import RecurrenceCoeffs, SquareMatrix, Triangle
 
@@ -35,18 +34,18 @@ from .triangles import RecurrenceCoeffs, SquareMatrix, Triangle
 
 
 def _enc_fe(v: FieldElem):
-    num = [str(c) for c in v.num] or ["0"]
+    num = [istr(c) for c in v.num] or ["0"]
     if v.den == PONE:
         return num
-    return {"num": num, "den": [str(c) for c in v.den]}
+    return {"num": num, "den": [istr(c) for c in v.den]}
 
 
 def _dec_fe(obj) -> FieldElem:
     if isinstance(obj, list):
-        return FieldElem([int(c) for c in obj])
+        return FieldElem([iparse(c) for c in obj])
     if isinstance(obj, dict):
         return FieldElem(
-            [int(c) for c in obj["num"]], [int(c) for c in obj["den"]]
+            [iparse(c) for c in obj["num"]], [iparse(c) for c in obj["den"]]
         )
     raise ValueError(f"not a coefficient encoding: {obj!r}")
 
@@ -134,26 +133,19 @@ def substitute_value(value, r_value: Fraction):
 # -- JSON ---------------------------------------------------------------------
 
 
-def to_jsonable(value) -> dict:
+def to_json(value) -> str:
     k = _kind(value, "serialize")
     entries = k.entries(value)
     out = {"kind": k.name}
     if k.size:
         out[k.size] = len(entries)
     out["entries"] = _map(_enc_fe, entries, k.depth)
-    return out
-
-
-def from_jsonable(obj: dict):
-    return build_value(obj.get("kind"), obj.get("entries"), _dec_fe)
-
-
-def to_json(value) -> str:
-    return json.dumps(to_jsonable(value), separators=(",", ":"))
+    return json.dumps(out, separators=(",", ":"))
 
 
 def from_json(text: str):
-    return from_jsonable(json.loads(text))
+    obj = json.loads(text)
+    return build_value(obj.get("kind"), obj.get("entries"), _dec_fe)
 
 
 # -- table and csv ------------------------------------------------------------
@@ -173,16 +165,6 @@ def _aligned(rows: list) -> str:
     return "\n".join(lines)
 
 
-def _csv_rows(rows: list) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    for row in rows:
-        writer.writerow([str(v) for v in row])
-    return buf.getvalue()
-
-
 def format_value(value, fmt: str = "table") -> str:
     """Render a value; table and csv are for reading, json is for reloading."""
     if fmt == "json":
@@ -192,7 +174,9 @@ def format_value(value, fmt: str = "table") -> str:
     for _ in range(2 - k.depth):
         rows = [rows]
     if fmt == "csv":
-        return _csv_rows(rows)
+        # a coefficient's text holds no comma, quote or newline, so no
+        # cell needs quoting
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
     if k.labels:
         return "\n".join(
             label + ", ".join(str(v) for v in row)

@@ -31,6 +31,7 @@ fold returns.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd as _igcd
 
@@ -148,10 +149,9 @@ def _prem(a: Poly, b: Poly) -> Poly:
 
 def pgcd(a: Poly, b: Poly) -> Poly:
     """Gcd in Z[r], primitive x content, positive leading coefficient."""
-    if not a:
-        return _poscontent(b)
-    if not b:
-        return _poscontent(a)
+    if not a or not b:
+        g = a or b
+        return g if not g or g[-1] > 0 else pneg(g)
     c = _igcd(pcontent(a), pcontent(b))
     if len(a) == 1 or len(b) == 1:
         return (c,)
@@ -169,17 +169,31 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     return pscale(g, c) if c != 1 else g
 
 
-def _poscontent(a: Poly) -> Poly:
-    g = pprimitive(a)
-    c = abs(pcontent(a))
-    return pscale(g, c) if c != 1 else g
-
-
 def peval(a: Poly, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def istr(n: int) -> str:
+    """The decimal text of n, however long: past CPython's limit on
+    int-to-string conversion (4,300 digits) it is written through Decimal,
+    which has none."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def iparse(s: str) -> int:
+    """The int whose decimal text is s, however long; the inverse of istr."""
+    try:
+        return int(s)
+    except ValueError:
+        if not s.lstrip("-").isdecimal():
+            raise
+        return int(Decimal(s))
 
 
 def pstr(a: Poly) -> str:
@@ -193,10 +207,10 @@ def pstr(a: Poly) -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = str(mag)
+            body = istr(mag)
         else:
             v = "r" if k == 1 else f"r^{k}"
-            body = v if mag == 1 else f"{mag}{v}"
+            body = v if mag == 1 else f"{istr(mag)}{v}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -243,26 +257,6 @@ class FieldElem:
             num, den = pneg(num), pneg(den)
         self.num, self.den = num, den
 
-    @classmethod
-    def from_int(cls, n: int) -> "FieldElem":
-        return _INT_CACHE.get(n) or cls((n,) if n else PZERO)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "FieldElem":
-        return cls((q.numerator,) if q.numerator else PZERO, (q.denominator,))
-
-    @classmethod
-    def coerce(cls, v) -> "FieldElem":
-        if isinstance(v, FieldElem):
-            return v
-        if isinstance(v, int):
-            return cls.from_int(v)
-        if isinstance(v, Fraction):
-            return cls.from_fraction(v)
-        raise TypeError(f"cannot coerce {type(v).__name__} into Q(r)")
-
-    _COERCIBLE = (int, Fraction)
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -280,9 +274,9 @@ class FieldElem:
 
     def __add__(self, other):
         if not isinstance(other, FieldElem):
-            if not isinstance(other, self._COERCIBLE):
+            if not isinstance(other, _OPERANDS):
                 return NotImplemented
-            other = FieldElem.coerce(other)
+            other = fe(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if len(a) <= 1 and len(b) == 1 and len(c) <= 1 and len(d) == 1:
             n = (a[0] * d[0] if a else 0) + (c[0] * b[0] if c else 0)
@@ -297,20 +291,20 @@ class FieldElem:
         return _make(pneg(self.num), self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, (FieldElem, *self._COERCIBLE)):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return self + (-FieldElem.coerce(other))
+        return self + (-fe(other))
 
     def __rsub__(self, other):
-        if not isinstance(other, (FieldElem, *self._COERCIBLE)):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return FieldElem.coerce(other) + (-self)
+        return fe(other) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, FieldElem):
-            if not isinstance(other, self._COERCIBLE):
+            if not isinstance(other, _OPERANDS):
                 return NotImplemented
-            other = FieldElem.coerce(other)
+            other = fe(other)
         if self.is_zero() or other.is_zero():
             return ZERO
         a, b, c, d = self.num, self.den, other.num, other.den
@@ -339,20 +333,19 @@ class FieldElem:
         return _make(num, den)
 
     def __truediv__(self, other):
-        if not isinstance(other, (FieldElem, *self._COERCIBLE)):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return self * FieldElem.coerce(other).inverse()
+        return self * fe(other).inverse()
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (FieldElem, *self._COERCIBLE)):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return FieldElem.coerce(other) * self.inverse()
+        return fe(other) * self.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FieldElem.coerce(other)
-        if not isinstance(other, FieldElem):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        other = fe(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -363,7 +356,7 @@ class FieldElem:
         d = peval(self.den, value)
         if d == 0:
             raise EvaluationPole(f"denominator {pstr(self.den)} vanishes at r={value}")
-        return FieldElem.from_fraction(peval(self.num, value) / d)
+        return fe(peval(self.num, value) / d)
 
     def __str__(self):
         ns = pstr(self.num)
@@ -378,6 +371,10 @@ class FieldElem:
 
     def __repr__(self):
         return f"FieldElem({self})"
+
+
+# what the operators accept as the other operand, converted by ``fe``
+_OPERANDS = (FieldElem, int, Fraction)
 
 
 def dot(xs, ys) -> FieldElem:
@@ -451,5 +448,12 @@ for _n in (-1, 2, -2, 3, -3, 4, 6):
 
 
 def fe(v) -> FieldElem:
-    """Shorthand coercion used throughout the package and its tests."""
-    return FieldElem.coerce(v)
+    """The element of Q(r) that an int, a Fraction or a FieldElem stands
+    for; the one conversion into Q(r)."""
+    if v.__class__ is FieldElem:
+        return v
+    if isinstance(v, int):
+        return _INT_CACHE.get(v) or _make((v,), PONE)
+    if isinstance(v, Fraction):
+        return _make((v.numerator,) if v else PZERO, (v.denominator,))
+    raise TypeError(f"cannot convert {type(v).__name__} into Q(r)")

@@ -25,17 +25,13 @@ from .errors import (
 from .ratfun import ONE, ZERO, FieldElem, dot, fe
 
 
-def _coerce_coeffs(cs: Iterable) -> tuple:
-    return tuple(fe(c) for c in cs)
-
-
 class Series:
     """Truncated power series; immutable, exact, prec == len(coeffs)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        self.coeffs = _coerce_coeffs(coeffs)
+        self.coeffs = tuple(map(fe, coeffs))
 
     @property
     def prec(self) -> int:
@@ -289,8 +285,7 @@ def divide(a: Series, b: Series) -> Series:
 
 def from_ratfun(num: Sequence, den: Sequence, prec: int) -> Series:
     """Expand num/den, polynomials in the formal variable, to prec terms."""
-    den = _coerce_coeffs(den)
-    if not den or den[0].is_zero():
+    if not den or fe(den[0]).is_zero():
         raise NonUnitConstantTerm("rational expansion needs den(0) != 0")
     prec = max(prec, 0)
     pad = (ZERO,) * prec

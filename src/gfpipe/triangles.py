@@ -78,16 +78,14 @@ class RiordanArray(Record):
     enforce it themselves.
     """
 
-    __slots__ = ("g", "f", "kind")
+    __slots__ = ("g", "f")
 
-    def __init__(self, g: Series, f: Series, kind: str = "ordinary"):
-        if kind not in ("ordinary", "exponential"):
-            raise ValueError("kind must be 'ordinary' or 'exponential'")
+    def __init__(self, g: Series, f: Series):
         if not g.coeffs or g.coeffs[0].is_zero():
             raise ValueError("Riordan g needs a nonzero constant term")
         if f.prec < 2 or not f.coeffs[0].is_zero():
             raise ValueError("Riordan f needs f(0) = 0")
-        super().__init__(g, f, kind)
+        super().__init__(g, f)
 
 
 class RecurrenceCoeffs(Record):
@@ -170,8 +168,8 @@ def binomial_matrix(rows: int) -> Triangle:
     return Triangle([[comb(n, k) for k in range(n + 1)] for n in range(rows)])
 
 
-def riordan_to_triangle(Rarr: RiordanArray, rows: int) -> Triangle:
-    """Column k is g*f^k (ordinary) or the same scaled by n!/k! (exponential)."""
+def riordan_to_triangle(Rarr: RiordanArray, rows: int, exponential: bool = False) -> Triangle:
+    """Column k is g*f^k, scaled by n!/k! for an exponential array."""
     need = rows
     g, f = Rarr.g, Rarr.f
     if min(g.prec, f.prec) < need:
@@ -186,7 +184,7 @@ def riordan_to_triangle(Rarr: RiordanArray, rows: int) -> Triangle:
         row = []
         for k in range(n + 1):
             c = cols[k].coeffs[n]
-            if Rarr.kind == "exponential":
+            if exponential:
                 c = c * Fraction(factorial(n), factorial(k))
             row.append(c)
         out.append(row)
@@ -194,9 +192,7 @@ def riordan_to_triangle(Rarr: RiordanArray, rows: int) -> Triangle:
 
 
 def riordan_apply(Rarr: RiordanArray, h: Series) -> Series:
-    """Action on a column vector of coefficients: g * h(f)."""
-    if Rarr.kind != "ordinary":
-        raise ValueError("riordan_apply acts through ordinary arrays")
+    """Action of the ordinary array on a coefficient column: g * h(f)."""
     return Rarr.g * h.compose(Rarr.f)
 
 
@@ -211,8 +207,6 @@ def production_matrix(Rarr: RiordanArray, size: int) -> SquareMatrix:
     A is taken as 1/revert(f)' (the chain rule on f(revert(f)) = x) and Z
     as (g'/g) o revert(f), so only one composition is needed.
     """
-    if Rarr.kind != "exponential":
-        raise ValueError("production matrices are computed for exponential arrays")
     g, f = Rarr.g, Rarr.f
     fbar = f.revert()
     A = divide(Series.one(fbar.prec - 1), fbar.derivative())

@@ -204,7 +204,7 @@ def criterion_8_production_matrices():
          [0, 0, 0, 0, w * 45, R * 21 + 5]],
     ]
     for (g, f), rows in zip(_moment_arrays(10), printed):
-        P = production_matrix(RiordanArray(g, f, "exponential"), 6)
+        P = production_matrix(RiordanArray(g, f), 6)
         recurrence_from_production(P)  # exactly tridiagonal, unit superdiag
         for i, row in enumerate(rows):
             padded = [fe(v) for v in row] + [ZERO] * (6 - len(row))
@@ -214,7 +214,7 @@ def criterion_8_production_matrices():
 def criterion_9_orthogonality():
     for g, f in _moment_arrays(13):
         rc = recurrence_from_production(
-            production_matrix(RiordanArray(g, f, "exponential"), 6))
+            production_matrix(RiordanArray(g, f), 6))
         polys = orthopoly_triangle(rc, 6)
         moments = sumudu(g)
         for n in range(6):
@@ -290,7 +290,7 @@ def criterion_12_dsl_cli():
     assert "offset" in err_text.getvalue()
     with pytest.raises(ParseError) as err:
         parse("1/(1-x")
-    assert err.value.position >= 0
+    assert err.value.start >= 0
 
 
 CRITERIA = [
@@ -327,15 +327,3 @@ def test_acceptance(number, label, check):
     check()
     print(f"ACCEPTANCE {number:2d} PASS: {label}")
 
-
-if __name__ == "__main__":
-    failures = 0
-    for number, label, check in CRITERIA:
-        try:
-            check()
-        except Exception as exc:  # report and continue
-            failures += 1
-            print(f"ACCEPTANCE {number:2d} FAIL: {label} -- {exc}")
-        else:
-            print(f"ACCEPTANCE {number:2d} PASS: {label}")
-    raise SystemExit(1 if failures else 0)

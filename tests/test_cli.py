@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,38 @@ class TestRobustness:
             " " * offset + "^",
             f"error: integer literal too long (5000 digits) (at offset {offset})",
         ]
+
+    @pytest.mark.parametrize("expr,offset", [("²", 0), ("x^²", 2), ("١+x", 0)])
+    def test_integer_literals_are_ascii_digits(self, capsys, expr, offset):
+        code, out, err = run(capsys, "eval", expr)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            expr,
+            " " * offset + "^",
+            f"error: unexpected character {expr[offset]!r} (at offset {offset})",
+        ]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_coefficients_past_the_str_digit_limit_print_exactly(self, capsys, fmt):
+        # 2^(64*299) has 5,761 digits, past CPython's 4,300-digit limit on str(int)
+        code, out, err = run(capsys, "eval", "1/(1-2^64*x)", "--order", "300",
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            texts = [c for [c] in json.loads(out)["entries"]]
+        else:
+            texts = out.strip().split(", " if fmt == "table" else ",")
+        assert [int(Decimal(c)) for c in texts] == [2 ** (64 * n) for n in range(300)]
+
+    @pytest.mark.parametrize("expr,order,cause", [
+        ("sumudu(matvec(matrix([[1]]),[1]))", "4",
+         "matvec(matrix([[1]]),[1]) has 1 coefficient(s), 4 needed (at offset 7)"),
+        ("1+matvec(matrix([[1,0],[1,1]]),[1,2])", "8",
+         "matvec(matrix([[1,0],[1,1]]),[1,2]) has 2 coefficient(s), 8 needed (at offset 2)"),
+    ])
+    def test_short_series_names_its_expression(self, capsys, expr, order, cause):
+        code, out, err = run(capsys, "eval", expr, "--order", order)
+        assert (code, out, err) == (2, "", f"error: {cause}\n")
 
     @pytest.mark.parametrize("expr", ["powq(1+x,1/0)", "1/0", "x/(r-r)"])
     def test_scalar_division_by_zero(self, capsys, expr):

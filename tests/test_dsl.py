@@ -52,9 +52,19 @@ class TestParse:
         assert [i.value for i in ast.args[0].items] == [0, 1, 0, 2]
 
     def test_error_position(self):
-        with pytest.raises(ParseError) as err:
-            parse("1+*2")
-        assert err.value.position == 2
+        # one text per ParseError site; each error sits at one offset
+        for text, position in [
+            ("1+*2", 2),                                   # expected a value
+            ("1+$", 2),                                    # unexpected character
+            ("1/(1-x", 6),                                 # expected ')'
+            ("1 2", 2),                                    # after the expression
+            ("x^" + "9" * 5000, 2),                        # literal too long
+            ("(" * (MAX_NESTING + 1) + "x", MAX_NESTING),  # brackets nested
+            ("+".join(["x"] * (MAX_DEPTH + 1)), 0),        # tree nested
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.start == err.value.end == position, text[:20]
 
     def test_unbalanced(self):
         with pytest.raises(ParseError):
@@ -68,7 +78,7 @@ class TestParse:
     def test_bracket_nesting_capped(self, text, position):
         with pytest.raises(ParseError) as err:
             parse(text)
-        assert err.value.position == position
+        assert err.value.start == err.value.end == position
 
     def test_tree_depth_capped(self):
         text = "+".join(["x"] * (MAX_DEPTH + 1))
@@ -338,12 +348,14 @@ class TestFormats:
             evaluate_text(
                 "recurrence(prodmat(1/(1+r*(1-exp(x))),"
                 "(exp(x)-1)/(1+r*(1-exp(x))),4))", Env(order=5)),
+            # coefficients up to 5,761 digits, past CPython's str(int) limit
+            Series([(-(2 ** 64)) ** n for n in range(300)]),
         ]
         for v in values:
             blob = to_json(v)
             again = from_json(blob)
             assert to_json(again) == blob
-            assert type(again) is type(v)
+            assert type(again) is type(v) and again == v
 
     def test_table_recurrence_and_jfrac(self):
         v = evaluate_text("jfrac([1,4],[2])", Env(order=4))
@@ -394,8 +406,14 @@ class TestFormats:
          "(-9r - 10)/(r + 1)\n",
          '{"kind":"fieldelem","entries":{"num":["-10","-9"],"den":["1","1"]}}',
          "-28/3"),
+        # empty fractions: one empty csv line per list
+        (evaluate_text("tosfrac(1)", Env(order=8)),
+         "", "\n", '{"kind":"sfrac","entries":[]}', ""),
+        (evaluate_text("jfrac([],[])", Env(order=8)),
+         "b:      \nlambda: ", "\n\n", '{"kind":"jfrac","entries":[[],[]]}',
+         "b:      \nlambda: "),
     ], ids=["series", "triangle", "matrix", "jfrac", "sfrac", "recurrence",
-            "fieldelem"])
+            "fieldelem", "sfrac-empty", "jfrac-empty"])
     def test_each_kind_renders_exactly(self, value, table, csv, json, at_two):
         assert format_value(value, "table") == table
         assert format_value(value, "csv") == csv

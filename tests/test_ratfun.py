@@ -120,10 +120,26 @@ def form(v):
 
 
 @given(st.integers(-60, 60), st.integers(-60, 60).filter(bool))
+@example(0, 1)
+@example(-3, 2)
 def test_constant_constructor_normal_form(n, d):
     v = FieldElem((n,), (d,))
     assert form(v) == fraction_form(Fraction(n, d))
     assert v.den[0] > 0
+    # fe reaches the same normal form without the constructor
+    assert form(fe(Fraction(n, d))) == form(v)
+    assert form(fe(n)) == form(FieldElem((n,)))
+
+
+def test_fe_is_the_one_conversion():
+    v = R / (R + 1)
+    assert fe(v) is v and fe(ONE) is ONE
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            fe(bad)
+    with pytest.raises(TypeError):
+        fe(2) + "a"
+    assert 1 - fe(3) == fe(-2) and fe(1) == 1 and fe(1) != "1"
 
 
 @given(fractions, fractions)
@@ -169,6 +185,8 @@ def test_pgcd_constant_examples():
     assert pgcd((6,), (4, 2)) == (2,)
     assert pgcd((4, 2), (6,)) == (2,)
     assert pgcd((), (-3,)) == (3,)
+    assert pgcd((0, -2, -4), ()) == (0, 2, 4)
+    assert pgcd((), ()) == ()
     assert pgcd((-5,), (0, 3)) == (1,)
 
 

@@ -132,7 +132,7 @@ class TestInverse:
         g = from_ratfun([1], [ONE, R], prec)
         f = divide(from_ratfun([ONE, R + 1], [1], prec),
                    from_ratfun([ONE, R], [1], prec)).log()
-        T = riordan_to_triangle(RiordanArray(g, f, "exponential"), 5)
+        T = riordan_to_triangle(RiordanArray(g, f), 5, exponential=True)
         inv = tri_inverse(T)
         assert [inv.rows[n][0] for n in range(5)] == [
             ONE, R, R * (R * 2 + 1), R * (R * R * 6 + R * 6 + 1),
@@ -177,13 +177,13 @@ class TestBinomialMatrix:
 class TestRiordan:
     def test_stirling2(self):
         T = riordan_to_triangle(
-            RiordanArray(Series.one(6), _exp(6) - 1, "exponential"), 5)
+            RiordanArray(Series.one(6), _exp(6) - 1), 5, exponential=True)
         assert tri_ints(T) == [
             [1], [0, 1], [0, 1, 1], [0, 1, 3, 1], [0, 1, 7, 6, 1]]
 
     def test_scaled_stirling(self):
         T = riordan_to_triangle(
-            RiordanArray(Series.one(6), (_exp(6, 2) - 1) / 2, "exponential"), 5)
+            RiordanArray(Series.one(6), (_exp(6, 2) - 1) / 2), 5, exponential=True)
         want = [[oracle("stirling2", n, k).as_fraction() * 2 ** (n - k)
                  for k in range(n + 1)] for n in range(5)]
         assert tri_ints(T) == want
@@ -191,27 +191,34 @@ class TestRiordan:
     def test_pascal_as_riordan(self):
         T = riordan_to_triangle(
             RiordanArray(from_ratfun([1], [1, -1], 5),
-                         from_ratfun([0, 1], [1, -1], 5), "ordinary"), 5)
+                         from_ratfun([0, 1], [1, -1], 5)), 5)
         assert T == binomial_matrix(5)
 
     def test_apply_stretched(self):
         prec = 5
         f = from_ratfun([0, 0, 1], [1, -2], prec)
         h = from_ratfun([1], [ONE, -R], prec)
-        got = riordan_apply(RiordanArray(Series.one(prec), f, "ordinary"), h)
+        got = riordan_apply(RiordanArray(Series.one(prec), f), h)
         assert list(got) == [ONE, ZERO, R, R * 2, R * R + R * 4]
 
     def test_apply_identity(self):
         h = Series([1, R, fe(3), fe(-1), R + 2])
-        ident = RiordanArray(Series.one(5), Series.x(5), "ordinary")
+        ident = RiordanArray(Series.one(5), Series.x(5))
         assert riordan_apply(ident, h) == h
 
     def test_apply_partial_sums(self):
         h = Series([1, 2, 3, 4])
-        psum = RiordanArray(from_ratfun([1], [1, -1], 4), Series.x(4),
-                            "ordinary")
+        psum = RiordanArray(from_ratfun([1], [1, -1], 4), Series.x(4))
         assert [v.as_fraction() for v in riordan_apply(psum, h)] == \
             [1, 3, 6, 10]
+
+    def test_pair_checks_g_and_f_and_takes_no_kind(self):
+        with pytest.raises(ValueError, match="nonzero constant term"):
+            RiordanArray(Series.x(4), Series.x(4))
+        with pytest.raises(ValueError, match="f\\(0\\) = 0"):
+            RiordanArray(Series.one(4), Series.one(4))
+        with pytest.raises(TypeError):
+            RiordanArray(Series.one(4), Series.x(4), "ordinary")
 
     def test_group_product_coherence(self):
         # triangle of a Riordan product equals the product of triangles
@@ -222,10 +229,10 @@ class TestRiordan:
         f2 = Series([0, 1, 2, 1] + [0] * (prec - 4))
         prod_g = g1 * g2.compose(f1)
         prod_f = f2.compose(f1)
-        lhs = riordan_to_triangle(RiordanArray(prod_g, prod_f, "ordinary"), rows)
+        lhs = riordan_to_triangle(RiordanArray(prod_g, prod_f), rows)
         rhs = matmul(
-            riordan_to_triangle(RiordanArray(g1, f1, "ordinary"), rows),
-            riordan_to_triangle(RiordanArray(g2, f2, "ordinary"), rows),
+            riordan_to_triangle(RiordanArray(g1, f1), rows),
+            riordan_to_triangle(RiordanArray(g2, f2), rows),
         )
         assert lhs == rhs
 
@@ -241,11 +248,10 @@ class TestRiordan:
         g2 = Series([1] + g2c + [0] * (prec - 1 - len(g2c)))
         f2 = Series([0, 1] + f2c + [0] * (prec - 2 - len(f2c)))
         lhs = riordan_to_triangle(
-            RiordanArray(g1 * g2.compose(f1), f2.compose(f1), "ordinary"),
-            rows)
+            RiordanArray(g1 * g2.compose(f1), f2.compose(f1)), rows)
         rhs = matmul(
-            riordan_to_triangle(RiordanArray(g1, f1, "ordinary"), rows),
-            riordan_to_triangle(RiordanArray(g2, f2, "ordinary"), rows))
+            riordan_to_triangle(RiordanArray(g1, f1), rows),
+            riordan_to_triangle(RiordanArray(g2, f2), rows))
         assert lhs == rhs
 
     @given(st.lists(small_ints, min_size=2, max_size=4),
@@ -257,10 +263,8 @@ class TestRiordan:
         f = Series([0, 1] + fc + [0] * (prec - 2 - len(fc)))
         fbar = f.revert()
         lhs = riordan_to_triangle(
-            RiordanArray(divide(Series.one(prec), g.compose(fbar)), fbar,
-                         "ordinary"), rows)
-        rhs = tri_inverse(riordan_to_triangle(RiordanArray(g, f, "ordinary"),
-                                              rows))
+            RiordanArray(divide(Series.one(prec), g.compose(fbar)), fbar), rows)
+        rhs = tri_inverse(riordan_to_triangle(RiordanArray(g, f), rows))
         assert lhs == rhs
 
     def test_riordan_inverse_matches_triangle_inverse(self):
@@ -270,15 +274,15 @@ class TestRiordan:
         fbar = f.revert()
         inv_g = divide(Series.one(prec), g.compose(fbar))
         inv_f = fbar
-        lhs = riordan_to_triangle(RiordanArray(inv_g, inv_f, "ordinary"), rows)
-        rhs = tri_inverse(riordan_to_triangle(RiordanArray(g, f, "ordinary"), rows))
+        lhs = riordan_to_triangle(RiordanArray(inv_g, inv_f), rows)
+        rhs = tri_inverse(riordan_to_triangle(RiordanArray(g, f), rows))
         assert lhs == rhs
 
 
 class TestProductionMatrix:
     def test_ordered_bell(self):
         g, f = ordered_bell_pair(8)
-        P = production_matrix(RiordanArray(g, f, "exponential"), 6)
+        P = production_matrix(RiordanArray(g, f), 6)
         rr1 = R * (R + 1)
         assert P.rows[0][:3] == (R, ONE, ZERO)
         assert P.rows[1][:3] == (rr1, R * 3 + 1, ONE)
@@ -291,7 +295,7 @@ class TestProductionMatrix:
         den = one + (one - _exp(prec, 2)) * R
         g = den.pow_rational(Fraction(-1, 2))
         f = divide(_exp(prec, 2) - one, den * 2)
-        P = production_matrix(RiordanArray(g, f, "exponential"), 6)
+        P = production_matrix(RiordanArray(g, f), 6)
         rr1 = R * (R + 1)
         assert P.rows[1][:2] == (rr1 * 2, R * 5 + 2)
         assert P.rows[2][1:3] == (rr1 * 12, R * 9 + 4)
@@ -303,7 +307,7 @@ class TestProductionMatrix:
         den = one + (one - _exp(prec)) * (R * 2)
         g = den.pow_rational(Fraction(-1, 2))
         f = divide(_exp(prec) - one, den)
-        P = production_matrix(RiordanArray(g, f, "exponential"), 5)
+        P = production_matrix(RiordanArray(g, f), 5)
         w = R * (R * 2 + 1)
         assert P.rows[0][:2] == (R, ONE)
         assert P.rows[1][:2] == (w, R * 5 + 1)
@@ -335,7 +339,7 @@ class TestProductionMatrixOneComposition:
                  (den.pow_rational(Fraction(-1, 2)),
                   divide(_exp(prec, 2) - one, den * 2))]
         for g, f in pairs:
-            P = production_matrix(RiordanArray(g, f, "exponential"), prec - 2)
+            P = production_matrix(RiordanArray(g, f), prec - 2)
             assert list(P.rows) == three_composition_prodmat(g, f, prec - 2)
 
     @given(st.integers(3, 8).flatmap(lambda n: st.tuples(
@@ -347,7 +351,7 @@ class TestProductionMatrixOneComposition:
         gs, g0, f1, fs = parts
         g, f = Series([g0, *gs]), Series([ZERO, f1, *fs])
         size = g.prec - 2
-        P = production_matrix(RiordanArray(g, f, "exponential"), size)
+        P = production_matrix(RiordanArray(g, f), size)
         assert list(P.rows) == three_composition_prodmat(g, f, size)
 
 
@@ -355,7 +359,7 @@ class TestRecurrence:
     def test_ordered_bell_coeffs(self):
         g, f = ordered_bell_pair(8)
         rc = recurrence_from_production(
-            production_matrix(RiordanArray(g, f, "exponential"), 6))
+            production_matrix(RiordanArray(g, f), 6))
         assert list(rc.alpha[:3]) == [R, R * 3 + 1, R * 5 + 2]
         assert list(rc.beta[:3]) == [R * (R + 1), R * (R + 1) * 4,
                                      R * (R + 1) * 9]
@@ -422,7 +426,7 @@ def orthopoly_by_loop(rc, rows):
 
 def _family_orthogonality(g, f, size=6):
     rc = recurrence_from_production(
-        production_matrix(RiordanArray(g, f, "exponential"), size))
+        production_matrix(RiordanArray(g, f), size))
     polys = orthopoly_triangle(rc, size)
     moments = sumudu(g)
     for n in range(size):
@@ -444,7 +448,7 @@ class TestMoments:
     def test_orthogonality_values(self):
         g, f = ordered_bell_pair(8)
         rc = recurrence_from_production(
-            production_matrix(RiordanArray(g, f, "exponential"), 4))
+            production_matrix(RiordanArray(g, f), 4))
         polys = orthopoly_triangle(rc, 3)
         moments = sumudu(g)
         assert moment_functional(moments, polys.rows[1], polys.rows[0]) == ZERO

@@ -214,7 +214,7 @@ def deleham(rs: Sequence, ss: Sequence, rows: int):
     w_k = r_k + s_k y; row n lists the y^k coefficients of [x^n]."""
     w = _bivariate_weights(rs, ss, max(rows - 1, 0))
     gf = sfrac_to_series(SFraction(w), rows)
-    return triangle_from_gf(gf, rows, "ogf")
+    return triangle_from_gf(gf, rows)
 
 
 def deleham_delta1(rs: Sequence, ss: Sequence, rows: int):
@@ -225,7 +225,7 @@ def deleham_delta1(rs: Sequence, ss: Sequence, rows: int):
     x = Series.x(prec)
     tail = sfrac_to_series(SFraction(w[2:]), prec)
     gf = divide(Series.one(prec), Series.one(prec) - x * w[0] - x * w[1] * tail)
-    return triangle_from_gf(gf, rows, "ogf")
+    return triangle_from_gf(gf, rows)
 
 
 # -- pairing of constant-tail and quadratic-weight fractions ---------------

@@ -102,6 +102,10 @@ def cli_main(argv=None) -> int:
             for fx in fixtures.all_fixtures():
                 print(f"{fx.id}\t{fx.source}")
             return 0
+        known = {fx.id for fx in fixtures.all_fixtures()}
+        missing = [i for i in args.run or () if i not in known]
+        if missing:
+            parser.error(f"unknown fixture ids: {', '.join(missing)}")
         ids = args.run if args.run else None
         report = fixtures.run_fixtures(ids)
         print(fixtures.render_report(report, args.format))

@@ -5,14 +5,16 @@ Grammar (whitespace-insensitive, left-associative, standard precedence):
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := atom ('^' int)?
-    atom   := int | 'x' | 'r' | '(' expr ')' | ident '(' args ')'
-            | ident | '[' args ']'
+    atom   := int | '(' expr ')' | ident '(' args ')' | ident | '[' args ']'
 
-Bare identifiers are only meaningful as arguments (triangle modes, oracle
-names).  Evaluation is demand-driven: every builtin knows how much
-precision it needs from its children to deliver the requested order, so a
-top-level series result carries exactly ``order`` exact coefficients no
-matter how many precision-losing steps the expression chains together.
+Two names have a value: ``x``, the series variable, and ``r``, the
+parameter; neither starts a call.  Any other bare identifier is only
+meaningful as an argument (triangle modes, oracle names).
+
+Evaluation is demand-driven: every builtin knows how much precision it
+needs from its children to deliver the requested order, so a top-level
+series result carries exactly ``order`` exact coefficients no matter how
+many precision-losing steps the expression chains together.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ MAX_INT_EXPONENT = 64
 # chain such as 1+x+x^2 adds a level) at MAX_DEPTH.
 MAX_NESTING = 100
 MAX_DEPTH = 250
+_VALUE_NAMES = ("x", "r")  # read by the parser, the evaluator and _name
 
 
 # -- AST --------------------------------------------------------------------
@@ -51,15 +54,10 @@ class Num(Node):
     __slots__ = ("value",)
 
 
-class VarX(Node):
-    __slots__ = ()
-
-
-class ParamR(Node):
-    __slots__ = ()
-
-
 class Name(Node):
+    """A bare identifier: ``x`` or ``r`` as a value, any other as an
+    argument that a builtin reads by name."""
+
     __slots__ = ("ident",)
 
 
@@ -209,11 +207,7 @@ class _Parser:
             return ListLit(start, close[2] + 1, tuple(items))
         if kind == "ident":
             self.advance()
-            if textv == "x":
-                return VarX(start, start + 1)
-            if textv == "r":
-                return ParamR(start, start + 1)
-            if self.peek()[0] == "(":
+            if self.peek()[0] == "(" and textv not in _VALUE_NAMES:
                 self.advance()
                 self.nest(start)
                 args = self.args(")")
@@ -276,10 +270,6 @@ def pretty(node: Node) -> str:
 def _pp(node: Node, parent_prec: int) -> str:
     if isinstance(node, Num):
         return str(node.value)
-    if isinstance(node, VarX):
-        return "x"
-    if isinstance(node, ParamR):
-        return "r"
     if isinstance(node, Name):
         return node.ident
     if isinstance(node, ListLit):
@@ -321,7 +311,9 @@ Value = object  # Series | Triangle | JFraction | SFraction | SquareMatrix |
 
 
 def _contains_x(node: Node) -> bool:
-    return isinstance(node, VarX) or any(_contains_x(k) for k in _children(node))
+    if isinstance(node, Name):
+        return node.ident == "x"
+    return any(_contains_x(k) for k in _children(node))
 
 
 class _Evaluator:
@@ -374,14 +366,14 @@ class _Evaluator:
     def value(self, node: Node, p: int) -> Value:
         if isinstance(node, Num):
             return Series.constant(node.value, p)
-        if isinstance(node, VarX):
-            return Series.x(p)
-        if isinstance(node, ParamR):
-            return Series.constant(R, p)
         if isinstance(node, Name):
-            raise TypeErrorValue(
-                f"unknown identifier {node.ident!r}", node.start, node.end
-            )
+            if node.ident not in _VALUE_NAMES:
+                raise TypeErrorValue(
+                    f"unknown identifier {node.ident!r}", node.start, node.end
+                )
+            if node.ident == "x":
+                return Series.x(p)
+            return Series.constant(R, p)
         if isinstance(node, ListLit):
             raise TypeErrorValue(
                 "a list is not a value by itself", node.start, node.end
@@ -484,7 +476,7 @@ def _count(ev, arg, p):
 
 
 def _name(ev, arg, p):
-    if not isinstance(arg, Name):
+    if not isinstance(arg, Name) or arg.ident in _VALUE_NAMES:
         raise TypeErrorValue("expected a name here", arg.start, arg.end)
     return arg.ident
 
@@ -555,8 +547,8 @@ _BUILTINS = {
     "sumudu": _builtin(transforms.sumudu, _ser),
     "isumudu": _builtin(transforms.inverse_sumudu, _ser),
     "invert": _builtin(transforms.invert_transform, _ser, _scalar),
-    "binom": _builtin(lambda f: transforms.binomial_transform(f, "forward"), _ser),
-    "ibinom": _builtin(lambda f: transforms.binomial_transform(f, "inverse"), _ser),
+    "binom": _builtin(transforms.binomial_transform, _ser),
+    "ibinom": _builtin(lambda f: transforms.binomial_transform(f, inverse=True), _ser),
     "revert": _builtin(Series.revert, _ser),
     "gfrev": _builtin(Series.gf_revert, _ser),
     "logd": _builtin(Series.log_derivative, _ser_up),
@@ -577,8 +569,10 @@ _BUILTINS = {
     "deleham1": _builtin(cfrac.deleham_delta1, _scalars, _scalars, _count),
     "tinv": _builtin(cfrac.t_inverse, _scalar, _scalar, _scalar, _count),
     "tfwd": _builtin(cfrac.t_forward_image, _of(cfrac.JFraction)),
-    "triangle": _builtin(
-        triangles.triangle_from_gf, _Sized(lambda n: n), _count, _mode, optional=1
+    "triangle": _builtin(  # the egf reading of a gf is its Sumudu transform
+        lambda gf, n, mode="ogf": triangles.triangle_from_gf(
+            transforms.sumudu(gf) if mode == "egf" else gf, n),
+        _Sized(lambda n: n), _count, _mode, optional=1,
     ),
     "reverse": _builtin(triangles.reversal, _of(triangles.Triangle)),
     "matmul": _builtin(

@@ -129,15 +129,21 @@ def _first_diff(kind, got, want, prefix: bool) -> Optional[str]:
     return walk(kind.entries(got), kind.entries(want), kind.depth, "entry", names)
 
 
+def fixture_order(fx: Fixture) -> int:
+    """The order a fixture's build is evaluated at: its own ``order``, else
+    the length of an expected series, else the number of expected entries
+    (at least 4)."""
+    if fx.order is not None:
+        return fx.order
+    if fx.kind == "series":
+        return len(fx.expected)
+    return max(len(fx.expected) if fx.kind != "fieldelem" else 0, 4)
+
+
 def run_fixture(fx: Fixture) -> CaseResult:
     want = decode_expected(fx)
     kind = kind_of(want)
-    if fx.order is not None:
-        order = fx.order
-    elif fx.kind == "series":
-        order = len(fx.expected)
-    else:
-        order = max(len(fx.expected) if kind.depth else 0, 4)
+    order = fixture_order(fx)
     env = Env(order=order,
               r_value=Fraction(fx.set_r) if fx.set_r is not None else None)
     try:

@@ -3,8 +3,9 @@
 Three formats: ``table`` (aligned, human-readable, polynomials in
 descending powers of r with explicit signs), ``csv`` (one row per line,
 comma-separated), and ``json`` (loss-free; every coefficient is carried as
-decimal strings of unbounded size).  JSON writing is deterministic, so
-decode-then-encode is byte-identical.
+decimal strings of unbounded size).  JSON writing is deterministic, and
+decoding accepts only what it writes, so decode-then-encode is
+byte-identical.
 
 Each kind of value (series, triangle, matrix, J- and S-fraction,
 recurrence, single coefficient) is one row of ``KINDS``: its class, JSON
@@ -144,8 +145,19 @@ def to_json(value) -> str:
 
 
 def from_json(text: str):
+    """The value whose ``to_json`` is ``text``, up to whitespace between
+    JSON tokens; any other text, even one that names the same value,
+    raises ValueError."""
     obj = json.loads(text)
-    return build_value(obj.get("kind"), obj.get("entries"), _dec_fe)
+    try:
+        value = build_value(obj["kind"], obj["entries"], _dec_fe)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"malformed JSON value ({type(exc).__name__}: {exc})"
+        ) from None
+    if to_json(value) != json.dumps(obj, separators=(",", ":")):
+        raise ValueError(f"not the canonical JSON of a {kind_name(value)}")
+    return value
 
 
 # -- table and csv ------------------------------------------------------------

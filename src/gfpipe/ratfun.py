@@ -11,20 +11,23 @@ Polynomials are tuples of ints in ascending powers with no trailing zeros;
 the zero polynomial is the empty tuple.  Coefficients are unbounded Python
 ints, so every operation is exact.
 
-Most values met in practice are rational constants (num and den of length
-at most one).  Those are normalised with one integer gcd (``_qnorm``)
-instead of the polynomial remainder sequence: the constructor, and sums
-and products of two constants, take that path, and ``pgcd`` answers with
-the gcd of the contents as soon as either argument is a constant.  The
-normal form is the same on both paths.
+One function, ``_norm``, computes the normal form.  Over a constant
+denominator it takes one integer gcd of the denominator and the
+numerator's coefficients; otherwise it divides out the polynomial gcd
+``pgcd`` and fixes the sign.  ``pgcd`` itself answers with the gcd of the
+contents as soon as either argument is a constant.  Most values met in
+practice are rational constants (num and den of length at most one), so
+sums and products of two constants skip to ``_qnorm``, the gcd of two
+ints.  The normal form is the same on every path.
 
 Every sum of products in the engine (series products and quotients, the
 exp recurrence, triangle and matrix products) goes through one kernel,
 ``dot``.  It brings the products over the lcm of their denominators, adds
 the numerators in place in Z[r], and runs the normal form once on the
 sum, instead of once per partial sum as ``s = s + a * b`` does.  When
-every operand is a rational constant it stays on plain ints: one running
-numerator over the lcm of the denominators, ended by one ``_qnorm``.
+every denominator is a rational constant it stays on plain ints: one
+running numerator over the lcm of the denominators, ended by one
+``_qnorm`` when the operands are constants and by ``_norm`` otherwise.
 Since the normal form is unique, ``dot`` returns exactly what the left
 fold returns.
 """
@@ -48,10 +51,6 @@ def ptrim(cs) -> Poly:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def pdeg(a: Poly) -> int:
-    return len(a) - 1
 
 
 def padd(a: Poly, b: Poly) -> Poly:
@@ -80,14 +79,6 @@ def pmul(a: Poly, b: Poly) -> Poly:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return ptrim(out)
-
-
-def pscale(a: Poly, k: int) -> Poly:
-    if k == 0:
-        return PZERO
-    if k == 1:
-        return a
-    return tuple(c * k for c in a)
 
 
 def pcontent(a: Poly) -> int:
@@ -119,7 +110,7 @@ def pdiv_exact(a: Poly, b: Poly) -> Poly:
         d = b[0]
         return tuple(c // d for c in a)
     rem = list(a)
-    db, lb = pdeg(b), b[-1]
+    db, lb = len(b) - 1, b[-1]
     q = [0] * (len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
         c = rem[i + db]
@@ -136,7 +127,7 @@ def pdiv_exact(a: Poly, b: Poly) -> Poly:
 def _prem(a: Poly, b: Poly) -> Poly:
     """Pseudo-remainder of a by b (fraction-free); a and b are trimmed."""
     rem = list(a)
-    db, lb = pdeg(b), b[-1]
+    db, lb = len(b) - 1, b[-1]
     while len(rem) - 1 >= db:
         lead = rem[-1]
         shift = len(rem) - 1 - db
@@ -166,7 +157,7 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         r = _prem(pa, pb)
         pa, pb = pb, pprimitive(r)
     g = pprimitive(pa)
-    return pscale(g, c) if c != 1 else g
+    return tuple(x * c for x in g) if c != 1 else g
 
 
 def peval(a: Poly, x: Fraction) -> Fraction:
@@ -226,6 +217,27 @@ def _qnorm(n: int, d: int) -> tuple:
     return ((n // g,) if n else PZERO), (d // g,)
 
 
+def _norm(num: Poly, den: Poly) -> tuple:
+    """Normal form (num, den) of num/den; both trimmed, den nonzero."""
+    if len(den) == 1:
+        d = den[0]
+        g = _igcd(d, *num)
+        if d < 0:
+            g = -g
+        if g == 1:
+            return num, den
+        return tuple(c // g for c in num), (d // g,)
+    if not num:
+        return PZERO, PONE
+    g = pgcd(num, den)
+    if g != PONE:
+        num = pdiv_exact(num, g)
+        den = pdiv_exact(den, g)
+    if den[-1] < 0:
+        num, den = pneg(num), pneg(den)
+    return num, den
+
+
 def _make(num: Poly, den: Poly) -> "FieldElem":
     """A FieldElem from a pair already in normal form."""
     out = object.__new__(FieldElem)
@@ -239,23 +251,10 @@ class FieldElem:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=PONE):
-        num = ptrim(num)
         den = ptrim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(r)")
-        if not num:
-            self.num, self.den = PZERO, PONE
-            return
-        if len(num) == 1 and len(den) == 1:
-            self.num, self.den = _qnorm(num[0], den[0])
-            return
-        g = pgcd(num, den)
-        if g != PONE:
-            num = pdiv_exact(num, g)
-            den = pdiv_exact(den, g)
-        if den[-1] < 0:
-            num, den = pneg(num), pneg(den)
-        self.num, self.den = num, den
+        self.num, self.den = _norm(ptrim(num), den)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -310,17 +309,14 @@ class FieldElem:
         a, b, c, d = self.num, self.den, other.num, other.den
         if len(a) == 1 and len(b) == 1 and len(c) == 1 and len(d) == 1:
             return _make(*_qnorm(a[0] * c[0], b[0] * d[0]))
-        # cross-cancel so the result needs only a sign fix
+        # cross-cancel; b, d and pgcd have positive leads, so no sign fix
         g1 = pgcd(a, d) if d != PONE and a != PONE else PONE
         g2 = pgcd(c, b) if b != PONE and c != PONE else PONE
         if g1 != PONE:
             a, d = pdiv_exact(a, g1), pdiv_exact(d, g1)
         if g2 != PONE:
             c, b = pdiv_exact(c, g2), pdiv_exact(b, g2)
-        num, den = pmul(a, c), pmul(b, d)
-        if den[-1] < 0:
-            num, den = pneg(num), pneg(den)
-        return _make(num, den)
+        return _make(pmul(a, c), pmul(b, d))
 
     __rmul__ = __mul__
 
@@ -428,14 +424,7 @@ def dot(xs, ys) -> FieldElem:
                 af = a * f
                 for j, b in enumerate(yn, i):
                     acc[j] += af * b
-    num = ptrim(acc)
-    if len(num) <= 1:
-        return FieldElem(num, (d,))
-    # over a positive integer the normal form only needs the content gcd
-    g = _igcd(pcontent(num), d)
-    if g != 1:
-        num, d = tuple(c // g for c in num), d // g
-    return _make(num, (d,))
+    return _make(*_norm(ptrim(acc), (d,)))
 
 
 ZERO = FieldElem(PZERO)

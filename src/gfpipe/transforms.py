@@ -65,13 +65,11 @@ def invert_transform(g: Series, c) -> Series:
     return g / den
 
 
-def binomial_transform(g: Series, direction: str = "forward") -> Series:
-    """Ogf binomial transform (1/(1-sx)) g(x/(1-sx)), s = 1 forward and
-    -1 inverse, as the direct sum b_m = sum_k C(m,k) s^(m-k) g_k: one
+def binomial_transform(g: Series, inverse: bool = False) -> Series:
+    """Ogf binomial transform (1/(1-sx)) g(x/(1-sx)), s = 1, or s = -1 for
+    the inverse, as the direct sum b_m = sum_k C(m,k) s^(m-k) g_k: one
     ``dot`` per coefficient and no series product."""
-    if direction not in ("forward", "inverse"):
-        raise ValueError("direction must be 'forward' or 'inverse'")
-    s = 1 if direction == "forward" else -1
+    s = -1 if inverse else 1
     return Series([
         dot(g.coeffs[: m + 1], [fe(comb(m, k) * s ** (m - k)) for k in range(m + 1)])
         for m in range(g.prec)

@@ -26,7 +26,6 @@ from .errors import (
 from .ratfun import ONE, ZERO, FieldElem, dot, fe
 from .record import Record
 from .series import Series, divide
-from .transforms import sumudu
 
 
 class Triangle(Record):
@@ -101,17 +100,14 @@ class RecurrenceCoeffs(Record):
 # -- construction ----------------------------------------------------------
 
 
-def triangle_from_gf(gf: Series, rows: int, mode: str = "ogf") -> Triangle:
-    """Row n collects the r-coefficients of [x^n] gf (times n! in egf mode).
+def triangle_from_gf(gf: Series, rows: int) -> Triangle:
+    """Row n collects the r-coefficients of [x^n] gf; the triangle of an
+    exponential gf is that of its Sumudu transform.
 
     Entries must be polynomial in r of degree at most n.
     """
-    if mode not in ("ogf", "egf"):
-        raise ValueError("mode must be 'ogf' or 'egf'")
     if gf.prec < rows:
         raise ValueError(f"need {rows} coefficients, series has {gf.prec}")
-    if mode == "egf":
-        gf = sumudu(gf)
     out = []
     for n in range(rows):
         c = gf.coeffs[n]

@@ -255,9 +255,9 @@ def criterion_10_oracles():
 
 def criterion_11_transform_algebra():
     g = Series([fe(1), R, fe(-2), R + 1, fe(0), R * R, fe(3), -R])
-    for d in ("forward", "inverse"):
-        other = "inverse" if d == "forward" else "forward"
-        assert binomial_transform(binomial_transform(g, d), other) == g
+    for inverse in (False, True):
+        assert binomial_transform(
+            binomial_transform(g, inverse=inverse), inverse=not inverse) == g
     assert invert_transform(invert_transform(g, R), -R + 3) == \
         invert_transform(g, R - R + 3)
     fib = invert_transform(from_ratfun([1], [1, 0, -1], 7), 1)
@@ -266,8 +266,8 @@ def criterion_11_transform_algebra():
     assert ints(sfib) == [1, -1, 2, -3, 5, -8]
     fam = from_ratfun([ONE, R - 1], [ONE, R - 1, -R], 8)
     shifted = from_ratfun([ONE, R], [ONE, R, -(R + 1)], 8)
-    assert matmul(triangle_from_gf(fam, 8, "ogf"), binomial_matrix(8)) == \
-        triangle_from_gf(shifted, 8, "ogf")
+    assert matmul(triangle_from_gf(fam, 8), binomial_matrix(8)) == \
+        triangle_from_gf(shifted, 8)
 
 
 def criterion_12_dsl_cli():

@@ -335,7 +335,7 @@ class TestTableau:
     def test_deleham_matches_bottom_up(self, rs, ss, rows):
         w = weights(rs, ss, max(rows - 1, 0))
         assert forms(lambda: deleham(rs, ss, rows)) == forms(
-            lambda: triangle_from_gf(bottom_up_sfrac(w, rows), rows, "ogf"))
+            lambda: triangle_from_gf(bottom_up_sfrac(w, rows), rows))
 
     @given(st.lists(small_ints, max_size=8), st.lists(small_ints, max_size=8),
            st.integers(0, 8))
@@ -349,7 +349,7 @@ class TestTableau:
             level0 = level0 - x * w[1] * tail
         gf = divide(Series.one(rows), level0)
         assert forms(lambda: deleham_delta1(rs, ss, rows)) == forms(
-            lambda: triangle_from_gf(gf, rows, "ogf"))
+            lambda: triangle_from_gf(gf, rows))
 
     @pytest.mark.parametrize("bs,lams,prec", [
         ([1], [2, 8, 18, 32], 9),       # weights in play, diagonal short
@@ -499,7 +499,7 @@ def delta1_by_contraction(rs, ss, rows):
     w = weights(rs, ss, max(rows + 1, 2))
     J = contract_s_to_j(SFraction(w[1:]))
     J = JFraction((J.b[0] + w[0], *J.b[1:]), J.lam)
-    return triangle_from_gf(jfrac_to_series(J, rows), rows, "ogf")
+    return triangle_from_gf(jfrac_to_series(J, rows), rows)
 
 
 def triangle_or_error(make):

@@ -252,9 +252,12 @@ class TestFixturesCommand:
         assert "FAIL" not in out
 
     def test_unknown_id(self, capsys):
-        code, out, err = run(capsys, "fixtures", "--run", "nope")
-        assert code == 1
-        assert "unknown fixture" in err
+        # a usage error, as README says: exit 2 with the usage line
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "fixtures", "--run", "fubini-pipeline", "nope")
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "usage: gfpipe" in err and "unknown fixture ids: nope" in err
 
     def test_exit_1_error_fails_only_its_case(self, capsys, monkeypatch):
         from gfpipe import fixtures
@@ -328,15 +331,19 @@ def test_startup_imports_no_dataclasses():
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
+        "import gfpipe.triangles\n"
+        "alone = 'gfpipe.transforms' not in sys.modules\n"
         "import gfpipe.cli, gfpipe.fixtures\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
         "print(gfpipe.fixtures._DATA)\n"
+        "print(alone)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(pkg.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    imported, data = out.stdout.splitlines()
+    imported, data, alone = out.stdout.splitlines()
+    assert alone == "True"  # triangles does not import transforms
     assert "gfpipe.fixtures" in imported.split()
     assert not {"dataclasses", "inspect"} & set(imported.split())
     assert Path(data) == pkg / "fixtures.json" and Path(data).is_file()

@@ -15,6 +15,7 @@ from gfpipe.dsl import (
     ListLit,
     Name,
     Num,
+    Pow,
     evaluate,
     evaluate_text,
     parse,
@@ -22,13 +23,15 @@ from gfpipe.dsl import (
     substitute_value,
 )
 from gfpipe.errors import (
+    MATH_ERRORS,
     ArityError,
     ExprError,
     NonUnitConstantTerm,
     ParseError,
     TypeErrorValue,
 )
-from gfpipe.formats import format_value, from_json, to_json
+from gfpipe.fixtures import all_fixtures, fixture_order
+from gfpipe.formats import CONVERSIONS, format_value, from_json, to_json
 from gfpipe.ratfun import R, FieldElem, fe
 from gfpipe.series import Series
 from gfpipe.transforms import sumudu
@@ -102,6 +105,16 @@ class TestParse:
     def test_names_are_atoms(self):
         ast = parse("triangle(x,3,egf)")
         assert isinstance(ast.args[2], Name) and ast.args[2].ident == "egf"
+        # x and r are names too, the two with a value
+        for text in ("x", "r"):
+            node = parse(text)
+            assert node == Name(0, 1, text) and (node.start, node.end) == (0, 1)
+
+    @pytest.mark.parametrize("text", ["x(1)", "r(2)"])
+    def test_valued_names_never_start_a_call(self, text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == "unexpected '(' after expression (at offset 1)"
 
 
 PRETTY_CORPUS = [
@@ -282,9 +295,7 @@ class TestEval:
 
 
 def _bind(node, literal):
-    from gfpipe.dsl import ParamR, Pow
-
-    if isinstance(node, ParamR):
+    if isinstance(node, Name) and node.ident == "r":
         return literal
     if isinstance(node, Bin):
         return Bin(node.start, node.end, node.op,
@@ -301,6 +312,17 @@ def _bind(node, literal):
     return node
 
 
+def _literal(c: Fraction):
+    """The expression node of the rational c."""
+    p, q = c.numerator, c.denominator
+    return parse(f"(0-{-p}/{q})" if p < 0 else f"({p}/{q})")
+
+
+def _as_series(value, order):
+    convert = CONVERSIONS.get((type(value), Series))
+    return convert(value, order) if convert else value
+
+
 class TestSpecialization:
     @pytest.mark.parametrize("expr", [
         "sumudu(P((1+(r-1)*x)/((1-x)*(1+r*x))))",
@@ -313,10 +335,30 @@ class TestSpecialization:
         after = evaluate_text(expr, Env(order=6, r_value=r0))
         # binding from the start: graft a rational literal over every
         # parameter node, then evaluate without any substitution
-        p, q = r0.numerator, r0.denominator
-        literal = parse(f"(0-{-p}/{q})" if p < 0 else f"({p}/{q})")
-        start = evaluate(_bind(parse(expr), literal), Env(order=6))
+        start = evaluate(_bind(parse(expr), _literal(r0)), Env(order=6))
         assert after == start
+
+    def test_fixture_builds_substitute_after_as_bound_from_start(self):
+        # every build but the triangles, at its fixture order; J- and
+        # S-fractions are compared as the series they stand for
+        compared = 0
+        for fx in all_fixtures():
+            if fx.kind == "triangle":
+                continue
+            order = fixture_order(fx)
+            ast = parse(fx.build)
+            evaluate(ast, Env(order=order))  # so a math error below comes from c
+            for c in (Fraction(2), Fraction(3), Fraction(-1), Fraction(5),
+                      Fraction(1, 2)):
+                try:
+                    after = evaluate(ast, Env(order=order, r_value=c))
+                    start = evaluate(_bind(ast, _literal(c)), Env(order=order))
+                except MATH_ERRORS:
+                    continue
+                compared += 1
+                assert _as_series(after, order) == _as_series(start, order), \
+                    (fx.id, c)
+        assert compared >= 200
 
 
 class TestFormats:
@@ -356,6 +398,34 @@ class TestFormats:
             again = from_json(blob)
             assert to_json(again) == blob
             assert type(again) is type(v) and again == v
+        # whitespace between tokens is not part of the encoding
+        spaced = '{"kind": "series", "order": 1,\n "entries": [["1"]]}\n'
+        assert from_json(spaced) == Series([1])
+
+    @pytest.mark.parametrize("text,message", [
+        # texts to_json never writes, though each names a value
+        ('{"kind":"series","order":1,"entries":[[" +1_0 "]]}', "of a series"),
+        ('{"kind":"series","order":1,"entries":[["01"]]}', "of a series"),
+        ('{"kind":"series","order":5,"entries":[["1"]]}', "of a series"),
+        ('{"kind":"series","order":1,"entries":[{"num":["2"],"den":["4"]}]}',
+         "of a series"),
+        ('{"kind":"series","order":1,"entries":[["1"]],"extra":0}', "of a series"),
+        ('{"kind":"series","order":true,"entries":[["1"]]}', "of a series"),
+        ('{"kind":"series","entries":[["1"]],"order":1}', "of a series"),
+        ('{"kind":"fieldelem","entries":{"num":["1"],"den":["1"]}}',
+         "of a fieldelem"),
+        # texts that name no value
+        ('{"kind":"series"}', "KeyError"),
+        ("[1]", "TypeError"),
+        ('{"kind":"series","order":1,"entries":[[null]]}', "TypeError"),
+        ('{"kind":"series","order":1,"entries":[{"num":["1"],"den":["0"]}]}',
+         "ZeroDivisionError"),
+        ('{"kind":"nope","entries":[]}', "unknown value kind"),
+        ('{"kind":"triangle","rows":1,"entries":[[["1"],["2"]]]}', "row 0"),
+    ])
+    def test_json_decodes_only_the_canonical_encoding(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_json(text)
 
     def test_table_recurrence_and_jfrac(self):
         v = evaluate_text("jfrac([1,4],[2])", Env(order=4))
@@ -517,6 +587,7 @@ BUILTIN_WRONG_KIND = [
     ("triangle(1/(1-x),0)", TypeErrorValue, "expected a count of at least 1, got 0", 17, "0"),
     ("triangle(1/(1-x),3,foo)", TypeErrorValue, "triangle mode must be ogf or egf", 19, "foo"),
     ("triangle(1/(1-x),3,7)", TypeErrorValue, "expected a name here", 19, "7"),
+    ("triangle(1/(1-x),3,x)", TypeErrorValue, "expected a name here", 19, "x"),
     ("triangle(1/(1-x),1/2,egf)", TypeErrorValue, "expected an integer", 17, "1/2"),
     ("reverse(x)", TypeErrorValue, "expected a triangle, got series", 8, "x"),
     ("matmul(x,Bmat(2))", TypeErrorValue, "expected a triangle, got series", 7, "x"),
@@ -540,6 +611,7 @@ BUILTIN_WRONG_KIND = [
     ("orthopoly(x,3)", TypeErrorValue, "expected a recurrence, got series", 10, "x"),
     ("orthopoly(prodmat(exp(x),x,3),0)", TypeErrorValue, "expected a count of at least 1, got 0", 30, "0"),
     ("oracle(7,6,3)", TypeErrorValue, "expected a name here", 7, "7"),
+    ("oracle(r,1,1)", TypeErrorValue, "expected a name here", 7, "r"),
     ("oracle(N3,1/2,3)", TypeErrorValue, "expected an integer", 10, "1/2"),
     ("oracle(N3,6,r)", TypeErrorValue, "expected an integer", 12, "r"),
     ("oracletri(7,3)", TypeErrorValue, "expected a name here", 10, "7"),

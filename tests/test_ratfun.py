@@ -131,6 +131,25 @@ def test_constant_constructor_normal_form(n, d):
     assert form(fe(n)) == form(FieldElem((n,)))
 
 
+polys = st.lists(st.integers(-9, 9), max_size=4).map(ptrim)
+
+
+@given(polys, polys.filter(bool), polys.filter(bool))
+@example((4, 6), (-6,), (1,))         # negative constant den sharing content 2
+@example((3, 1), (1,), (2, 1))        # d = 1
+@example((3, 1), (-1,), (-2, 0, 1))   # d = -1
+@example((), (-6,), (1, 1))           # zero numerator
+def test_normal_form_cancels_a_common_factor(n, d, q):
+    # n/d and nq/dq reach one normal form, whether each goes through the
+    # integer gcd over a constant denominator or through pgcd
+    v = FieldElem(n, d)
+    assert form(FieldElem(pmul(n, q), pmul(d, q))) == form(v)
+    assert form(FieldElem(n) * FieldElem(d).inverse()) == form(v)
+    assert v.den[-1] > 0
+    if v.num:
+        assert pgcd(v.num, v.den) == (1,)
+
+
 def test_fe_is_the_one_conversion():
     v = R / (R + 1)
     assert fe(v) is v and fe(ONE) is ONE
@@ -169,8 +188,7 @@ def test_mixed_products_match_the_prs_route(q, e):
     assert got.den[-1] > 0
 
 
-@given(st.lists(st.integers(-9, 9), max_size=4).map(ptrim),
-       st.integers(-30, 30))
+@given(polys, st.integers(-30, 30))
 def test_pgcd_with_a_constant_matches_the_prs_route(a, k):
     b = (k,) if k else ()
     got = pgcd(a, b)

@@ -81,12 +81,12 @@ class TestInvert:
 
 class TestBinomial:
     def test_forward_powers_of_two(self):
-        got = binomial_transform(from_ratfun([1], [1, -1], 6), "forward")
+        got = binomial_transform(from_ratfun([1], [1, -1], 6))
         assert ints(got) == [1, 2, 4, 8, 16, 32]
 
     def test_inverse_gives_signed_powers(self):
         g = from_ratfun([fe(1), R - 1], [fe(1), R - 1, -R], 6)
-        got = binomial_transform(g, "inverse")
+        got = binomial_transform(g, inverse=True)
         p = R + 1
         assert list(got) == [ONE, fe(-1), p, -(p * p), p * p * p,
                              -(p * p * p * p)]
@@ -94,8 +94,8 @@ class TestBinomial:
     @given(series_values(prec=6))
     @settings(max_examples=30, deadline=None)
     def test_involution(self, f):
-        assert binomial_transform(binomial_transform(f, "forward"), "inverse") == f
-        assert binomial_transform(binomial_transform(f, "inverse"), "forward") == f
+        assert binomial_transform(binomial_transform(f), inverse=True) == f
+        assert binomial_transform(binomial_transform(f, inverse=True)) == f
 
     @given(st.integers(0, 16).flatmap(
         lambda n: st.lists(st.one_of(scalars(), field_elems(max_deg=1)),
@@ -103,15 +103,11 @@ class TestBinomial:
     @settings(max_examples=30, deadline=None)
     def test_matches_the_composition_formula(self, g):
         # (1/(1-sx)) g(x/(1-sx)), the formula the direct sum replaced
-        for direction, s in (("forward", 1), ("inverse", -1)):
+        for inverse, s in ((False, 1), (True, -1)):
             n = g.prec
             pre = Series([fe(s**k) for k in range(n)])
             inner = Series([fe(0)] + [fe(s ** (k - 1)) for k in range(1, n)])
-            assert binomial_transform(g, direction) == pre * g.compose(inner)
-
-    def test_rejects_unknown_direction(self):
-        with pytest.raises(ValueError, match="direction must be"):
-            binomial_transform(Series([1, 2]), "backward")
+            assert binomial_transform(g, inverse=inverse) == pre * g.compose(inner)
 
 
 class TestPipeline:

@@ -57,25 +57,25 @@ def ordered_bell_pair(prec):
 class TestTriangleFromGf:
     def test_a019538_egf(self):
         g, _ = ordered_bell_pair(6)
-        assert tri_ints(triangle_from_gf(g, 5, "egf")) == [
+        assert tri_ints(triangle_from_gf(sumudu(g), 5)) == [
             [1], [0, 1], [0, 1, 2], [0, 1, 6, 6], [0, 1, 14, 36, 24]]
 
     def test_eulerian2_egf(self):
         prec = 5
         er = Series([ZERO, R] + [ZERO] * (prec - 2)).exp()
         gf = divide((1 - R) * er, er - _exp(prec) * R)
-        assert tri_ints(triangle_from_gf(gf, 5, "egf")) == [
+        assert tri_ints(triangle_from_gf(sumudu(gf), 5)) == [
             [1], [0, 1], [0, 1, 1], [0, 1, 4, 1], [0, 1, 11, 11, 1]]
 
     def test_constant(self):
-        assert tri_ints(triangle_from_gf(Series.one(3), 3, "ogf")) == [
+        assert tri_ints(triangle_from_gf(Series.one(3), 3)) == [
             [1], [0, 0], [0, 0, 0]]
 
     def test_degree_guard(self):
         with pytest.raises(NonPolynomialRow):
-            triangle_from_gf(Series([ONE, R * R]), 2, "ogf")
+            triangle_from_gf(Series([ONE, R * R]), 2)
         with pytest.raises(NonPolynomialRow):
-            triangle_from_gf(Series([ONE, ONE / (R + 1)]), 2, "ogf")
+            triangle_from_gf(Series([ONE, ONE / (R + 1)]), 2)
 
 
 class TestReversal:
@@ -106,7 +106,7 @@ class TestMatmul:
     def test_signed_a028246_to_a019538(self):
         prec = 6
         signed = triangle_from_gf(
-            divide(Series.one(prec), R - (R - 1) * _exp(prec)), 5, "egf")
+            sumudu(divide(Series.one(prec), R - (R - 1) * _exp(prec))), 5)
         got = matmul(signed, binomial_matrix(5))
         assert tri_ints(got) == [
             [1], [0, 1], [0, 1, 2], [0, 1, 6, 6], [0, 1, 14, 36, 24]]
@@ -170,8 +170,8 @@ class TestBinomialMatrix:
         prec = 8
         fam = from_ratfun([ONE, R - 1], [ONE, R - 1, -R], prec)
         shifted = from_ratfun([ONE, R], [ONE, R, -(R + 1)], prec)
-        lhs = matmul(triangle_from_gf(fam, 8, "ogf"), binomial_matrix(8))
-        assert lhs == triangle_from_gf(shifted, 8, "ogf")
+        lhs = matmul(triangle_from_gf(fam, 8), binomial_matrix(8))
+        assert lhs == triangle_from_gf(shifted, 8)
 
 
 class TestRiordan:
@@ -502,16 +502,16 @@ class TestOracle:
         pairs = [
             ("N1", triangle_from_gf(
                 from_ratfun([ONE, -R], [ONE, -(R - 1)], prec).gf_revert(),
-                7, "ogf")),
+                7)),
             ("N2", triangle_from_gf(
                 from_ratfun([1, -1], [ONE, R - 1], prec).gf_revert(),
-                7, "ogf")),
+                7)),
             ("N3", triangle_from_gf(
-                from_ratfun([1], [ONE, R + 1, R], prec).gf_revert(), 7, "ogf")),
-            ("A019538", triangle_from_gf(g, 7, "egf")),
-            ("galton", triangle_from_gf(
+                from_ratfun([1], [ONE, R + 1, R], prec).gf_revert(), 7)),
+            ("A019538", triangle_from_gf(sumudu(g), 7)),
+            ("galton", triangle_from_gf(sumudu(
                 (Series.one(prec) + (Series.one(prec) - _exp(prec, 2)) * R)
-                .pow_rational(Fraction(-1, 2)), 7, "egf")),
+                .pow_rational(Fraction(-1, 2))), 7)),
         ]
         for name, built in pairs:
             assert built == oracle_triangle(name, 7), name

@@ -60,6 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--run", nargs="*", metavar="ID", default=None)
 
     for p in (p_eval, p_tri, p_fix):
+        # cli_main's own usage errors print the subcommand's usage line
+        p.set_defaults(subparser=p)
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
         if p is not p_fix:
@@ -77,12 +79,11 @@ def _diagnose(exc: Exception, expr: str = "") -> None:
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if getattr(args, "order", 1) < 1:
-        parser.error("--order must be at least 1")
+        args.subparser.error("--order must be at least 1")
     if getattr(args, "rows", 1) < 1:
-        parser.error("--rows must be at least 1")
+        args.subparser.error("--rows must be at least 1")
 
     try:
         if args.command != "fixtures":
@@ -105,7 +106,7 @@ def cli_main(argv=None) -> int:
         known = {fx.id for fx in fixtures.all_fixtures()}
         missing = [i for i in args.run or () if i not in known]
         if missing:
-            parser.error(f"unknown fixture ids: {', '.join(missing)}")
+            args.subparser.error(f"unknown fixture ids: {', '.join(missing)}")
         ids = args.run if args.run else None
         report = fixtures.run_fixtures(ids)
         print(fixtures.render_report(report, args.format))

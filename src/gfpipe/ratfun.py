@@ -24,12 +24,14 @@ Every sum of products in the engine (series products and quotients, the
 exp recurrence, triangle and matrix products) goes through one kernel,
 ``dot``.  It brings the products over the lcm of their denominators, adds
 the numerators in place in Z[r], and runs the normal form once on the
-sum, instead of once per partial sum as ``s = s + a * b`` does.  When
-every denominator is a rational constant it stays on plain ints: one
-running numerator over the lcm of the denominators, ended by one
-``_qnorm`` when the operands are constants and by ``_norm`` otherwise.
-Since the normal form is unique, ``dot`` returns exactly what the left
-fold returns.
+sum, instead of once per partial sum as ``s = s + a * b`` does.  It makes
+one walk over its operands, which skips zero terms, takes the lcm of the
+integer product denominators and notes each term's numerators and the
+length of the sum; a polynomial denominator met on the way hands the sum
+to the lcm in Z[r].  When every denominator is a rational constant the
+sum stays on plain ints over that lcm and ends in one ``_qnorm`` when the
+operands are constants and in ``_norm`` otherwise.  Since the normal form
+is unique, ``dot`` returns exactly what the left fold returns.
 """
 
 from __future__ import annotations
@@ -376,55 +378,63 @@ _OPERANDS = (FieldElem, int, Fraction)
 def dot(xs, ys) -> FieldElem:
     """sum(x * y for x, y in zip(xs, ys)) with one normal form at the end.
 
-    Zero terms are skipped.  The products are brought over the lcm of
-    their denominators (integer gcd when every denominator is a constant,
-    ``pgcd`` otherwise) and their numerators summed in Z[r]."""
-    terms = [(x, y) for x, y in zip(xs, ys) if x.num and y.num]
-    if not terms:
-        return ZERO
-    const_den = const = True
-    for x, y in terms:
-        if len(x.den) > 1 or len(y.den) > 1:
-            const_den = const = False
-            break
-        if len(x.num) > 1 or len(y.num) > 1:
-            const = False
-    if const:
-        n, d = 0, 1
-        for x, y in terms:
-            pn, pd = x.num[0] * y.num[0], x.den[0] * y.den[0]
-            if pd == d:
-                n += pn
-            else:
-                g = _igcd(d, pd)
-                n = n * (pd // g) + pn * (d // g)
-                d = d // g * pd
-        return _make(*_qnorm(n, d))
-    if not const_den:
-        dens = [pmul(x.den, y.den) for x, y in terms]
-        den = dens[0]
-        for pd in dens[1:]:
-            if pd != den:
-                den = pmul(den, pdiv_exact(pd, pgcd(den, pd)))
-        num = PZERO
-        for (x, y), pd in zip(terms, dens):
-            num = padd(num, pmul(pmul(x.num, y.num), pdiv_exact(den, pd)))
-        return FieldElem(num, den)
-    d = 1
-    for x, y in terms:
-        pd = x.den[0] * y.den[0]
+    xs and ys are sequences.  One walk over the pairs skips zero terms,
+    takes the lcm d of the integer product denominators, and keeps each
+    term as (longer numerator, shorter numerator, product denominator pd)
+    and the length of the sum.  A polynomial denominator, met anywhere in
+    the walk, hands the whole sum to ``_dot_rational``.  Otherwise the sum
+    over d is sum n * (d/pd) over constants, or a Z[r] product per term
+    with the shorter numerator on the outside, scaled once by d/pd."""
+    terms = []
+    d = width = 1
+    for x, y in zip(xs, ys):
+        a, c = x.num, y.num
+        if not a or not c:
+            continue
+        b, e = x.den, y.den
+        if len(b) > 1 or len(e) > 1:
+            return _dot_rational(xs, ys)
+        pd = b[0] * e[0]
         if d % pd:
             d = d // _igcd(d, pd) * pd
-    acc = [0] * max(len(x.num) + len(y.num) - 1 for x, y in terms)
-    for x, y in terms:
-        f = d // (x.den[0] * y.den[0])
-        yn = y.num
-        for i, a in enumerate(x.num):
-            if a:
-                af = a * f
-                for j, b in enumerate(yn, i):
-                    acc[j] += af * b
+        w = len(a) + len(c)
+        if w > width:
+            width = w
+        terms.append((a, c, pd) if len(c) <= len(a) else (c, a, pd))
+    if not terms:
+        return ZERO
+    if width == 2:
+        n = 0
+        for a, c, pd in terms:
+            n += a[0] * c[0] * (d // pd)
+        return _make(*_qnorm(n, d))
+    acc = [0] * (width - 1)
+    for a, c, pd in terms:
+        if pd != d:
+            f = d // pd
+            c = [v * f for v in c]
+        for j, v in enumerate(c):
+            if v:
+                i = j  # a counter, not enumerate: no tuple per product
+                for u in a:
+                    acc[i] += v * u
+                    i += 1
     return _make(*_norm(ptrim(acc), (d,)))
+
+
+def _dot_rational(xs, ys) -> FieldElem:
+    """``dot`` over the lcm in Z[r] of the product denominators, for sums
+    in which some denominator is a polynomial of positive degree."""
+    terms = [(x, y) for x, y in zip(xs, ys) if x.num and y.num]
+    dens = [pmul(x.den, y.den) for x, y in terms]
+    den = dens[0]
+    for pd in dens[1:]:
+        if pd != den:
+            den = pmul(den, pdiv_exact(pd, pgcd(den, pd)))
+    num = PZERO
+    for (x, y), pd in zip(terms, dens):
+        num = padd(num, pmul(pmul(x.num, y.num), pdiv_exact(den, pd)))
+    return FieldElem(num, den)
 
 
 ZERO = FieldElem(PZERO)

@@ -105,12 +105,18 @@ class Series:
     def __mul__(self, other):
         """Scalar multiple, or the Cauchy product to the shared precision:
         each coefficient is one ``dot`` of a prefix of self against the
-        reversed prefix of other, so it is normalised once."""
+        reversed prefix of other, so it is normalised once.  When either
+        factor is a constant to that precision, the product is the other
+        factor scaled by it, one field product per coefficient."""
         if isinstance(other, (int, Fraction, FieldElem)):
             k = fe(other)
             return Series([c * k for c in self.coeffs])
         n = min(self.prec, other.prec)
         a, b = self.coeffs, other.coeffs
+        if not any(c.num for c in b[1:n]):
+            return Series([c * b[0] for c in a[:n]])
+        if not any(c.num for c in a[1:n]):
+            return Series([a[0] * c for c in b[:n]])
         return Series([dot(a[: k + 1], b[k::-1]) for k in range(n)])
 
     __rmul__ = __mul__
@@ -269,17 +275,24 @@ def _as_series(v, prec: int) -> Series:
 def divide(a: Series, b: Series) -> Series:
     """Quotient q with q*b = a to the shared precision; needs b(0) != 0.
 
-    Solved term by term, q_m = (a_m - sum_{j<m} q_j b_{m-j}) / b_0, with
-    the sum taken by one ``dot``."""
+    Solved term by term: q_m * b_0 = a_m - sum_{j<m} q_j b_{m-j} is one
+    ``dot`` of (q_0, ..., q_{m-1}, a_m) against (-b_m, ..., -b_1, 1), so
+    the subtraction costs no normal form of its own; it is multiplied by
+    1/b_0 only when b_0 != 1."""
     n = min(a.prec, b.prec)
     if n == 0:
         return Series([])
-    if b.coeffs[0].is_zero():
+    b0 = b.coeffs[0]
+    if b0.is_zero():
         raise NonUnitConstantTerm("series division needs a unit constant term")
-    b0inv = b.coeffs[0].inverse()
+    b0inv = None if b0.is_one() else b0.inverse()
+    # (-b_{n-1}, ..., -b_1, 1): its last m+1 entries pair with out + [a_m]
+    negb = [-c for c in b.coeffs[n - 1 : 0 : -1]] + [ONE]
     out = []
     for m in range(n):
-        out.append((a.coeffs[m] - dot(out, b.coeffs[m:0:-1])) * b0inv)
+        out.append(a.coeffs[m])
+        q = dot(out, negb[n - 1 - m :])
+        out[m] = q if b0inv is None else q * b0inv
     return Series(out)
 
 

@@ -257,7 +257,7 @@ class TestFixturesCommand:
             run(capsys, "fixtures", "--run", "fubini-pipeline", "nope")
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert "usage: gfpipe" in err and "unknown fixture ids: nope" in err
+        assert "usage: gfpipe fixtures" in err and "unknown fixture ids: nope" in err
 
     def test_exit_1_error_fails_only_its_case(self, capsys, monkeypatch):
         from gfpipe import fixtures
@@ -282,6 +282,21 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["eval"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,command,message", [
+    (["eval", "x", "--order", "0"], "eval", "--order must be at least 1"),
+    (["triangle", "1/(1-x)", "--rows", "0"], "triangle", "--rows must be at least 1"),
+    (["fixtures", "--run", "nope"], "fixtures", "unknown fixture ids: nope"),
+])
+def test_own_usage_errors_print_the_subcommand_usage(capsys, argv, command, message):
+    # as argparse's own errors do, e.g. for ``fixtures --format xml``
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: gfpipe {command} [-h]")
+    assert err.endswith(f"\ngfpipe {command}: error: {message}\n")
 
 
 # one process, one parser: every kind of call, with a usage error in between

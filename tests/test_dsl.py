@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from gfpipe.cfrac import JFraction, SFraction
 from gfpipe.dsl import (
@@ -36,6 +38,8 @@ from gfpipe.ratfun import R, FieldElem, fe
 from gfpipe.series import Series
 from gfpipe.transforms import sumudu
 from gfpipe.triangles import RecurrenceCoeffs, SquareMatrix, Triangle
+
+from test_fuzz import DIGITS, GOOD, GOOD_SIZE, NAMES, SIGNATURES, makers
 
 
 def ints(series):
@@ -323,6 +327,47 @@ def _as_series(value, order):
     return convert(value, order) if convert else value
 
 
+# builtins that turn powers of r into positions (the columns of a
+# triangle): substituting for r does not commute with them, so the grammar
+# half of the specialisation check never calls them
+R_TO_POSITIONS = ("triangle", "deleham", "deleham1")
+
+
+@st.composite
+def well_sorted(draw, sort, depth):
+    """An expression of the given sort over test_fuzz's signatures, with
+    no wrong sort, no arity fault and only valid sizes (1 to 6)."""
+    if sort in ("count", "int"):
+        return draw(GOOD_SIZE)
+    if sort == "name":
+        return draw(NAMES)
+    if sort == "list":
+        items = draw(st.lists(well_sorted("scalar", depth - 1), min_size=1, max_size=4))
+        return "[" + ",".join(items) + "]"
+    if sort == "rows":  # a square matrix of 1 to 3 rows
+        k = draw(st.integers(1, 3))
+        return "[" + ",".join(
+            "[" + ",".join(draw(well_sorted("scalar", depth - 1)) for _ in range(k)) + "]"
+            for _ in range(k)) + "]"
+    choice = draw(st.integers(0, 6 if depth > 0 else 1))
+    if sort in ("series", "scalar") and choice == 0:
+        atoms = ["r"] if sort == "scalar" else ["x", "r"]
+        return draw(st.one_of(DIGITS, st.sampled_from(atoms)))
+    if sort in ("series", "scalar") and choice == 1:
+        return draw(GOOD) if sort == "series" else draw(DIGITS)
+    if sort in ("series", "scalar") and choice == 2:
+        left, right = draw(well_sorted(sort, depth - 1)), draw(well_sorted(sort, depth - 1))
+        return f"{left}{draw(st.sampled_from('+-*/'))}{right}"
+    if sort in ("series", "scalar") and choice == 3:
+        return f"({draw(well_sorted(sort, depth - 1))})^{draw(st.sampled_from('0123'))}"
+    if depth <= 0:  # the cheapest maker of the sort
+        return {"series": "x", "scalar": "r", "jfrac": "jfrac([r],[1])",
+                "sfrac": "sfrac([r])", "matrix": "matrix([[r]])"}[sort]
+    name = draw(st.sampled_from([n for n in makers(sort) if n not in R_TO_POSITIONS]))
+    args = [draw(well_sorted(s, depth - 1)) for s in SIGNATURES[name][0]]
+    return f"{name}({','.join(args)})"
+
+
 class TestSpecialization:
     @pytest.mark.parametrize("expr", [
         "sumudu(P((1+(r-1)*x)/((1-x)*(1+r*x))))",
@@ -359,6 +404,35 @@ class TestSpecialization:
                 assert _as_series(after, order) == _as_series(start, order), \
                     (fx.id, c)
         assert compared >= 200
+
+    def test_grammar_expressions_substitute_after_as_bound_from_start(self):
+        # series-sorted expressions from the fuzzer's signatures: the late
+        # route runs dot's Z[r] branches, the early one its constant ones
+        compared = 0
+
+        @given(well_sorted("series", 3), st.integers(1, 6))
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def check(text, order):
+            nonlocal compared
+            ast = parse(text)
+            assume(_bind(ast, _literal(Fraction(1))) != ast)  # r occurs
+            try:
+                _as_series(evaluate(ast, Env(order=order)), order)
+            except (ExprError, *MATH_ERRORS):
+                return  # it fails with r unbound, so no pair to compare
+            for c in (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)):
+                try:
+                    after = _as_series(evaluate(ast, Env(order=order, r_value=c)), order)
+                    start = _as_series(
+                        evaluate(_bind(ast, _literal(c)), Env(order=order)), order)
+                except MATH_ERRORS:  # a pole or a vanishing coefficient at c
+                    continue
+                compared += 1
+                assert after == start, (text, c)
+
+        check()
+        assert compared >= 400
 
 
 class TestFormats:

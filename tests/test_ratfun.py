@@ -242,6 +242,18 @@ operand_lists = st.sampled_from(sorted(_OPERANDS)).flatmap(
 @example(([FieldElem((1, 2, 3)), R], [fe(2), FieldElem((1, -1))]))
 @example(([FieldElem((2, 2), (3,)), FieldElem((0, 4), (9,))], [fe(Fraction(1, 2)), ONE]))
 @example(([FieldElem((1, 1), (2,))], [ONE]))
+# integer denominators, then a (1+r) denominator, and the reverse: the
+# walk hands the whole sum to the lcm in Z[r] wherever it meets one
+@example(([FieldElem((1, 2), (3,)), fe(Fraction(1, 2)), FieldElem((1,), (1, 1))],
+          [R, FieldElem((0, 1, 1), (2,)), fe(3)]))
+@example(([FieldElem((1,), (1, 1)), FieldElem((1, 2), (3,)), fe(Fraction(1, 2))],
+          [fe(3), R, FieldElem((0, 1, 1), (2,))]))
+# every product denominator is the lcm 6, so every d/pd = 1
+@example(([FieldElem((1, 1), (2,)), FieldElem((0, 5), (3,)), FieldElem((2, 0, 1), (6,))],
+          [fe(Fraction(1, 3)), fe(Fraction(1, 2)), ONE]))
+# constants over distinct denominators
+@example(([fe(Fraction(1, 2)), fe(Fraction(2, 3)), fe(Fraction(-5, 4))],
+          [fe(Fraction(1, 5)), fe(3), fe(Fraction(1, 7))]))
 def test_dot_matches_the_left_fold(lists):
     xs, ys = lists
     got, want = dot(xs, ys), fold(xs, ys)

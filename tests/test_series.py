@@ -366,11 +366,27 @@ def series_of(prec, first=coeffs):
                      st.lists(coeffs, min_size=prec - 1, max_size=prec - 1))
 
 
+def constant_series_of(prec):
+    return st.builds(lambda c: Series([c] + [ZERO] * (prec - 1)), coeffs)
+
+
+def factors_of(prec):
+    return st.one_of(series_of(prec), constant_series_of(prec))
+
+
 precs = st.integers(1, 7)
+inv1r = FieldElem((1,), (1, 1))
 
 
-@given(precs.flatmap(lambda n: st.tuples(series_of(n), series_of(n))))
+@given(precs.flatmap(lambda n: st.tuples(factors_of(n), factors_of(n))))
 @settings(max_examples=60, deadline=None)
+# a constant series on the left, on the right, and precision 1
+@example((Series([R + 1, 0, 0, 0]), Series([1, R, inv1r, 2])))
+@example((Series([1, R, inv1r, 2]), Series([fe(Fraction(-3, 2)), 0, 0, 0])))
+@example((Series([R]), Series([inv1r])))
+# unequal precisions: the product stops at the shorter
+@example((Series([1, R, inv1r, 2]), Series([fe(2), 0])))
+@example((Series([R + 1, 0]), Series([1, R, inv1r, 2])))
 def test_mul_matches_the_per_term_loop(ab):
     a, b = ab
     assert forms(a * b) == forms(mul_oracle(a, b))
@@ -379,6 +395,10 @@ def test_mul_matches_the_per_term_loop(ab):
 @given(precs.flatmap(lambda n: st.tuples(
     series_of(n), series_of(n, nonzero_field_elems(max_deg=1)))))
 @settings(max_examples=60, deadline=None)
+# b_0 = 1 (no closing product), 3/2 and 1+r
+@example((Series([1, R, 2, fe(Fraction(1, 3))]), Series([1, R, 0, inv1r])))
+@example((Series([R, 1, 0, 2]), Series([fe(Fraction(3, 2)), 1, R, 0])))
+@example((Series([1, R, 2]), Series([R + 1, 1, R])))
 def test_divide_matches_the_per_term_loop(ab):
     a, b = ab
     assert forms(divide(a, b)) == forms(divide_oracle(a, b))

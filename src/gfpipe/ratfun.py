@@ -25,13 +25,15 @@ exp recurrence, triangle and matrix products) goes through one kernel,
 ``dot``.  It brings the products over the lcm of their denominators, adds
 the numerators in place in Z[r], and runs the normal form once on the
 sum, instead of once per partial sum as ``s = s + a * b`` does.  It makes
-one walk over its operands, which skips zero terms, takes the lcm of the
-integer product denominators and notes each term's numerators and the
-length of the sum; a polynomial denominator met on the way hands the sum
-to the lcm in Z[r].  When every denominator is a rational constant the
-sum stays on plain ints over that lcm and ends in one ``_qnorm`` when the
-operands are constants and in ``_norm`` otherwise.  Since the normal form
-is unique, ``dot`` returns exactly what the left fold returns.
+one walk over its operands, which skips zero terms and adds each product
+of two rational constants at once to a running integer sum over the lcm
+of those terms' denominators.  It notes every other term's numerators and
+integer product denominator, with their lcm and the length of the sum; a
+polynomial denominator met on the way hands the sum to the lcm in Z[r].
+A sum of constants ends in one ``_qnorm``; otherwise the constant sum
+joins the Z[r] sum over the common lcm, which ends in ``_norm``.  Since
+the normal form is unique, ``dot`` returns exactly what the left fold
+returns.
 """
 
 from __future__ import annotations
@@ -378,15 +380,19 @@ _OPERANDS = (FieldElem, int, Fraction)
 def dot(xs, ys) -> FieldElem:
     """sum(x * y for x, y in zip(xs, ys)) with one normal form at the end.
 
-    xs and ys are sequences.  One walk over the pairs skips zero terms,
-    takes the lcm d of the integer product denominators, and keeps each
-    term as (longer numerator, shorter numerator, product denominator pd)
-    and the length of the sum.  A polynomial denominator, met anywhere in
-    the walk, hands the whole sum to ``_dot_rational``.  Otherwise the sum
-    over d is sum n * (d/pd) over constants, or a Z[r] product per term
-    with the shorter numerator on the outside, scaled once by d/pd."""
+    xs and ys are sequences.  One walk over the pairs skips zero terms.  A
+    term whose four polynomials are constants is added at once to a
+    running sum n / nd over the lcm nd of those terms' denominators, with
+    no term kept.  Every other term is kept as (longer numerator, shorter
+    numerator, product denominator pd) while the walk takes the lcm d of
+    their pd and the length of the sum.  A polynomial denominator, met
+    anywhere in the walk, hands the whole sum to ``_dot_rational``.  With
+    no term kept the result is one ``_qnorm`` of n / nd.  Otherwise the
+    sum over lcm(d, nd) starts at n scaled to it and adds a Z[r] product
+    per term, the shorter numerator on the outside, scaled once."""
     terms = []
-    d = width = 1
+    n = 0
+    nd = d = width = 1
     for x, y in zip(xs, ys):
         a, c = x.num, y.num
         if not a or not c:
@@ -395,6 +401,13 @@ def dot(xs, ys) -> FieldElem:
         if len(b) > 1 or len(e) > 1:
             return _dot_rational(xs, ys)
         pd = b[0] * e[0]
+        if len(a) == 1 and len(c) == 1:
+            if nd % pd:
+                f = pd // _igcd(nd, pd)
+                n *= f
+                nd *= f
+            n += a[0] * c[0] * (nd // pd)
+            continue
         if d % pd:
             d = d // _igcd(d, pd) * pd
         w = len(a) + len(c)
@@ -402,13 +415,12 @@ def dot(xs, ys) -> FieldElem:
             width = w
         terms.append((a, c, pd) if len(c) <= len(a) else (c, a, pd))
     if not terms:
-        return ZERO
-    if width == 2:
-        n = 0
-        for a, c, pd in terms:
-            n += a[0] * c[0] * (d // pd)
-        return _make(*_qnorm(n, d))
+        return _make(*_qnorm(n, nd))
     acc = [0] * (width - 1)
+    if n:
+        if d % nd:
+            d = d // _igcd(d, nd) * nd
+        acc[0] = n * (d // nd)
     for a, c, pd in terms:
         if pd != d:
             f = d // pd

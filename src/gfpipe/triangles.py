@@ -133,10 +133,13 @@ def reversal(T: Triangle) -> Triangle:
 
 
 def matmul(A: Triangle, B: Triangle) -> Triangle:
+    """Entry (i, j) is one ``dot`` of A's row i from column j against B's
+    column j from row j; B's columns are built once, and ``dot`` stops at
+    the end of the row."""
     n = min(A.n_rows, B.n_rows)
+    cols = [[B.rows[k][j] for k in range(j, n)] for j in range(n)]
     return Triangle([
-        [dot(A.rows[i][j:], [B.rows[k][j] for k in range(j, i + 1)])
-         for j in range(i + 1)]
+        [dot(A.rows[i][j:], cols[j]) for j in range(i + 1)]
         for i in range(n)
     ])
 
@@ -146,18 +149,23 @@ def identity_triangle(rows: int) -> Triangle:
 
 
 def tri_inverse(T: Triangle) -> Triangle:
-    """Exact inverse of the truncation, by forward substitution."""
-    for n in range(T.n_rows):
-        if T.rows[n][n].is_zero():
-            raise SingularDiagonal(f"zero diagonal entry in row {n}")
+    """Exact inverse of the truncation, by forward substitution.
+
+    Row i of T below the diagonal is scaled once by -1/T(i,i); entry (i, j)
+    of the inverse is then one ``dot`` of that row from column j against
+    the inverse's column j found so far, to which it is appended."""
     n = T.n_rows
-    inv = [[ZERO] * (i + 1) for i in range(n)]
-    for i in range(n):
-        inv[i][i] = T.rows[i][i].inverse()
-        for j in range(i - 1, -1, -1):
-            s = dot(T.rows[i][j:i], [inv[k][j] for k in range(j, i)])
-            inv[i][j] = -(s * inv[i][i]) if not s.is_zero() else ZERO
-    return Triangle(inv)
+    cols = [[] for _ in range(n)]
+    for i, row in enumerate(T.rows):
+        if row[i].is_zero():
+            raise SingularDiagonal(f"zero diagonal entry in row {i}")
+        d = row[i].inverse()
+        m = -d
+        scaled = [v * m for v in row[:i]]
+        for j in range(i):
+            cols[j].append(dot(scaled[j:], cols[j]))
+        cols[i].append(d)
+    return Triangle([[cols[j][i - j] for j in range(i + 1)] for i in range(n)])
 
 
 def binomial_matrix(rows: int) -> Triangle:
@@ -165,21 +173,26 @@ def binomial_matrix(rows: int) -> Triangle:
 
 
 def riordan_to_triangle(Rarr: RiordanArray, rows: int, exponential: bool = False) -> Triangle:
-    """Column k is g*f^k, scaled by n!/k! for an exponential array."""
-    need = rows
-    g, f = Rarr.g, Rarr.f
-    if min(g.prec, f.prec) < need:
+    """Column k is g*f^k, scaled by n!/k! for an exponential array.
+
+    Column k is made from column k-1, whose valuation is at least k-1: as
+    f(0) = 0, its entry n >= k is one ``dot`` of column k-1's entries k-1
+    .. n-1 against f's coefficients n-k+1 .. 1, and its entries below k
+    are zero, also when f'(0) = 0."""
+    g, f = Rarr.g.coeffs, Rarr.f.coeffs
+    if min(len(g), len(f)) < rows:
         raise ValueError("Riordan pair not expanded far enough")
-    col = g
+    col = g[:rows]
     cols = [col]
-    for _ in range(1, rows):
-        col = col * f
+    for k in range(1, rows):
+        col = [ZERO] * k + [dot(col[k - 1:n], f[n - k + 1:0:-1])
+                            for n in range(k, rows)]
         cols.append(col)
     out = []
     for n in range(rows):
         row = []
         for k in range(n + 1):
-            c = cols[k].coeffs[n]
+            c = cols[k][n]
             if exponential:
                 c = c * Fraction(factorial(n), factorial(k))
             row.append(c)

@@ -254,6 +254,21 @@ operand_lists = st.sampled_from(sorted(_OPERANDS)).flatmap(
 # constants over distinct denominators
 @example(([fe(Fraction(1, 2)), fe(Fraction(2, 3)), fe(Fraction(-5, 4))],
           [fe(Fraction(1, 5)), fe(3), fe(Fraction(1, 7))]))
+# constant terms summed in the walk: before a Z[r] numerator and after one,
+# each sum joining the Z[r] sum over lcm(5, 2 * 21)
+@example(([fe(Fraction(1, 2)), fe(Fraction(1, 3)), FieldElem((1, 2), (5,))],
+          [ONE, fe(Fraction(1, 7)), R]))
+@example(([FieldElem((1, 2), (5,)), fe(Fraction(1, 2)), fe(Fraction(1, 3))],
+          [R, ONE, fe(Fraction(1, 7))]))
+# coprime denominators grow the running lcm of the constant sum: 2, 6, 30
+@example(([fe(Fraction(1, 2)), fe(Fraction(1, 3)), fe(Fraction(1, 5))], [ONE, ONE, ONE]))
+# constants that cancel to 0, alone and next to a Z[r] numerator
+@example(([fe(Fraction(1, 2)), fe(Fraction(1, 3)), fe(Fraction(-5, 6))], [ONE, ONE, ONE]))
+@example(([fe(Fraction(1, 2)), R, fe(Fraction(-1, 2))],
+          [fe(Fraction(1, 3)), FieldElem((1, 1), (3,)), fe(Fraction(1, 3))]))
+# a partial constant sum, then a (1+r) denominator hands the sum over
+@example(([fe(Fraction(1, 2)), fe(Fraction(1, 3)), FieldElem((1,), (1, 1))],
+          [fe(Fraction(1, 5)), ONE, R]))
 def test_dot_matches_the_left_fold(lists):
     xs, ys = lists
     got, want = dot(xs, ys), fold(xs, ys)

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfpipe.errors import (
@@ -13,7 +13,7 @@ from gfpipe.errors import (
     SingularDiagonal,
     UnknownOracle,
 )
-from gfpipe.ratfun import ONE, R, ZERO, fe
+from gfpipe.ratfun import ONE, R, ZERO, dot, fe
 from gfpipe.series import Series, divide, from_ratfun
 from gfpipe.transforms import sumudu
 from gfpipe.triangles import (
@@ -543,3 +543,109 @@ class TestSquareMatrixApply:
         M = SquareMatrix(rows)
         image = M.apply([1, -1, 2, -3, 6, -9, 18, -27])
         assert [v.as_fraction() for v in image] == [1, 0, 3, 0, 9, 0, 27, 0]
+
+
+# -- the column kernels against the per-entry code they replaced -------------
+
+
+def matmul_by_entry(A, B):
+    n = min(A.n_rows, B.n_rows)
+    return Triangle([
+        [dot(A.rows[i][j:], [B.rows[k][j] for k in range(j, i + 1)])
+         for j in range(i + 1)]
+        for i in range(n)
+    ])
+
+
+def tri_inverse_by_entry(T):
+    n = T.n_rows
+    inv = [[ZERO] * (i + 1) for i in range(n)]
+    for i in range(n):
+        inv[i][i] = T.rows[i][i].inverse()
+        for j in range(i - 1, -1, -1):
+            s = dot(T.rows[i][j:i], [inv[k][j] for k in range(j, i)])
+            inv[i][j] = -(s * inv[i][i]) if not s.is_zero() else ZERO
+    return Triangle(inv)
+
+
+def riordan_by_series_products(Rarr, rows, exponential):
+    cols = [Rarr.g]
+    for _ in range(1, rows):
+        cols.append(cols[-1] * Rarr.f)
+    return Triangle([
+        [cols[k].coeffs[n] * (Fraction(factorial(n), factorial(k)) if exponential else 1)
+         for k in range(n + 1)]
+        for n in range(rows)
+    ])
+
+
+_constants = st.builds(lambda n, d: fe(Fraction(n, d)), small_ints, st.integers(1, 6))
+_nonzero_constants = _constants.filter(lambda v: not v.is_zero())
+# (entries below the diagonal, diagonal entries): rational constants, or
+# Q(r) with unit, non-unit and r-dependent diagonals
+_ENTRIES = {
+    "constant": (st.one_of(_constants, st.just(ZERO)),
+                 st.one_of(st.just(ONE), _nonzero_constants)),
+    "qr": (st.one_of(scalars(), field_elems(max_deg=1), st.just(ZERO)),
+           st.one_of(st.just(ONE), _nonzero_constants, nonzero_field_elems(max_deg=1))),
+}
+
+
+@st.composite
+def lower_triangles(draw, kind):
+    below, diag = _ENTRIES[kind]
+    n = draw(st.integers(1, 6))
+    return Triangle([[draw(below) for _ in range(i)] + [draw(diag)] for i in range(n)])
+
+
+triangle_pairs = st.sampled_from(sorted(_ENTRIES)).flatmap(
+    lambda kind: st.tuples(lower_triangles(kind), lower_triangles(kind)))
+
+
+@st.composite
+def riordan_cases(draw):
+    prec = draw(st.integers(2, 7))
+    coeff = st.one_of(draw(st.sampled_from([_constants, scalars()])), st.just(ZERO))
+    g0 = draw(st.one_of(_nonzero_constants, nonzero_field_elems(max_deg=1)))
+    g = Series([g0] + [draw(coeff) for _ in range(prec - 1)])
+    # f'(0) = 0 half the time: a stretched array
+    f = Series([ZERO] + [ZERO if i == 1 and draw(st.booleans()) else draw(coeff)
+                         for i in range(1, prec)])
+    return RiordanArray(g, f), draw(st.integers(1, prec))
+
+
+# the triangle of 1/(1-(1+r)x) scaled by 1+r: every diagonal entry is 1+r
+R_DIAGONAL = Triangle([[v * (ONE + R) for v in row] for row in triangle_from_gf(
+    from_ratfun([1], [ONE, -(ONE + R)], 5), 5).rows])
+
+
+class TestColumnKernels:
+    @given(triangle_pairs)
+    @settings(max_examples=80, deadline=None)
+    @example((binomial_matrix(6), R_DIAGONAL))
+    @example((R_DIAGONAL, tri_inverse(R_DIAGONAL)))
+    def test_matmul_and_inverse_match_the_per_entry_code(self, pair):
+        A, B = pair
+        assert matmul(A, B) == matmul_by_entry(A, B)
+        inv = tri_inverse(B)
+        assert inv == tri_inverse_by_entry(B)
+        assert matmul(B, inv) == identity_triangle(B.n_rows)
+
+    @given(riordan_cases())
+    @settings(max_examples=80, deadline=None)
+    # stretched arrays: (1/(1-x), x^2/(1-x)) and (exp(x), x^2+x^3)
+    @example((RiordanArray(Series([1] * 7), Series([0, 0, 1, 1, 1, 1, 1])), 7))
+    @example((RiordanArray(_exp(7), Series([0, 0, 1, 1, 0, 0, 0])), 7))
+    def test_riordan_matches_the_series_products(self, case):
+        Rarr, rows = case
+        for exponential in (False, True):
+            assert riordan_to_triangle(Rarr, rows, exponential) == \
+                riordan_by_series_products(Rarr, rows, exponential)
+
+    def test_stretched_examples(self):
+        T = riordan_to_triangle(
+            RiordanArray(Series([1] * 7), Series([0, 0, 1, 1, 1, 1, 1])), 7)
+        assert tri_ints(T)[6] == [1, 5, 6, 1, 0, 0, 0]
+        T = riordan_to_triangle(
+            RiordanArray(_exp(7), Series([0, 0, 1, 1, 0, 0, 0])), 7, exponential=True)
+        assert tri_ints(T)[6] == [1, 150, 1260, 120, 0, 0, 0]

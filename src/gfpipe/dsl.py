@@ -20,12 +20,13 @@ many precision-losing steps the expression chains together.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 from typing import Optional
 
 from . import cfrac, transforms, triangles
 from .errors import ArityError, ParseError, TypeErrorValue
 from .formats import CONVERSIONS, kind_name, substitute_value
-from .ratfun import R, FieldElem
+from .ratfun import R, FieldElem, fe
 from .record import Record
 from .series import Series
 
@@ -80,6 +81,9 @@ class ListLit(Node):
 # -- tokenizer and parser ----------------------------------------------------
 
 _SYMBOLS = "+-*/^()[],"
+# the binary operators: precedence (parser, pretty) and function (evaluator)
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
 _DIGITS = "0123456789"
 
 
@@ -88,7 +92,8 @@ def _tokenize(text: str):
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in _SYMBOLS:
+            tokens.append((ch, ch, i))
             i += 1
             continue
         if ch in _DIGITS:
@@ -105,8 +110,7 @@ def _tokenize(text: str):
             tokens.append(("ident", text[i:j], i))
             i = j
             continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
+        if ch.isspace():
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
@@ -115,38 +119,37 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent with one precedence-climbing loop, ``expr``.  A
+    parenthesised expression is the node inside, its span widened in place
+    to the brackets before any other node holds it."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind: str):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise ParseError(
                 f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2]
             )
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r} after expression", tok[2])
-        _check_depth(node)
+        # a tree deeper than MAX_DEPTH has more nodes, each with its own token
+        if len(self.tokens) > MAX_DEPTH:
+            _check_depth(node)
         return node
 
     def nest(self, start: int):
-        """Enter a bracket opened at ``start``; see MAX_NESTING."""
+        """Step into the bracket opened at ``start``; see MAX_NESTING."""
+        self.pos += 1
         self.nesting += 1
         if self.nesting > MAX_NESTING:
             raise ParseError(f"brackets nested more than {MAX_NESTING} deep", start)
@@ -161,73 +164,65 @@ class _Parser:
                 f"integer literal too long ({len(tok[1])} digits)", tok[2]
             ) from None
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.term()
-            node = Bin(node.start, right.end, op, node, right)
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            right = self.factor()
-            node = Bin(node.start, right.end, op, node, right)
-        return node
-
-    def factor(self) -> Node:
+    def expr(self, floor: int = 1) -> Node:
+        """A factor, atom ('^' int)?, then each operator of _PREC at least
+        ``floor`` with a right operand one level up: left-associative."""
+        tokens = self.tokens
         node = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
+        if tokens[self.pos][0] == "^":
+            self.pos += 1
             tok = self.expect("int")
             node = Pow(node.start, tok[2] + len(tok[1]), node, self.integer(tok))
-        return node
+        while True:
+            op = tokens[self.pos][0]
+            prec = _PREC.get(op, 0)
+            if prec < floor:
+                return node
+            self.pos += 1
+            right = self.expr(prec + 1)
+            node = Bin(node.start, right.end, op, node, right)
 
     def atom(self) -> Node:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         kind, textv, start = tok
         if kind == "int":
-            self.advance()
+            self.pos += 1
             return Num(start, start + len(textv), self.integer(tok))
+        if kind == "ident":
+            self.pos += 1
+            if self.tokens[self.pos][0] == "(" and textv not in _VALUE_NAMES:
+                args = self.args(start, ")")
+                return Call(start, self.close(")"), textv, args)
+            return Name(start, start + len(textv), textv)
         if kind == "(":
-            self.advance()
             self.nest(start)
             node = self.expr()
-            close = self.expect(")")
-            self.nesting -= 1
-            return node.replace(start=start, end=close[2] + 1)
+            object.__setattr__(node, "start", start)
+            object.__setattr__(node, "end", self.close(")"))
+            return node
         if kind == "[":
-            self.advance()
-            self.nest(start)
-            items = self.args("]")
-            close = self.expect("]")
-            self.nesting -= 1
-            return ListLit(start, close[2] + 1, tuple(items))
-        if kind == "ident":
-            self.advance()
-            if self.peek()[0] == "(" and textv not in _VALUE_NAMES:
-                self.advance()
-                self.nest(start)
-                args = self.args(")")
-                close = self.expect(")")
-                self.nesting -= 1
-                return Call(start, close[2] + 1, textv, tuple(args))
-            return Name(start, start + len(textv), textv)
+            items = self.args(start, "]")
+            return ListLit(start, self.close("]"), items)
         raise ParseError(
             f"expected a value, found {textv or 'end of input'!r}", start
         )
 
-    def args(self, closer: str):
+    def close(self, closer: str) -> int:
+        """Step out at ``closer``; the bracket's end."""
+        end = self.expect(closer)[2] + 1
+        self.nesting -= 1
+        return end
+
+    def args(self, start: int, closer: str) -> tuple:
+        """The items in the bracket opened at ``start``, up to ``closer``."""
+        self.nest(start)
         items = []
-        if self.peek()[0] == closer:
-            return items
-        items.append(self.expr())
-        while self.peek()[0] == ",":
-            self.advance()
+        if self.tokens[self.pos][0] != closer:
             items.append(self.expr())
-        return items
+            while self.tokens[self.pos][0] == ",":
+                self.pos += 1
+                items.append(self.expr())
+        return tuple(items)
 
 
 def _children(node: Node) -> tuple:
@@ -260,8 +255,6 @@ def parse(text: str) -> Node:
 
 # -- pretty printer -----------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
 
 def pretty(node: Node) -> str:
     return _pp(node, 0)
@@ -276,9 +269,9 @@ def _pp(node: Node, parent_prec: int) -> str:
         return "[" + ",".join(_pp(i, 0) for i in node.items) + "]"
     if isinstance(node, Call):
         return node.name + "(" + ",".join(_pp(a, 0) for a in node.args) + ")"
-    if isinstance(node, Pow):
-        base = _pp(node.base, 3)
-        return f"{base}^{node.exponent}"
+    if isinstance(node, Pow):  # ^ does not chain: a Pow base keeps its brackets
+        out = f"{_pp(node.base, 4)}^{node.exponent}"
+        return f"({out})" if parent_prec > 3 else out
     if isinstance(node, Bin):
         p = _PREC[node.op]
         left = _pp(node.left, p)
@@ -348,10 +341,14 @@ class _Evaluator:
         return v.truncate(p) if v.prec > p else v
 
     def scalar(self, node: Node) -> FieldElem:
+        """The element of Q(r) an x-free ``node`` stands for, with the value
+        and diagnostics of ``value(node, 1)``: a call's, or else ``_q``'s."""
         if _contains_x(node):
             raise TypeErrorValue(
                 "expected a scalar (no x allowed here)", node.start, node.end
             )
+        if node.__class__ is not Call:
+            return self._q(node)
         v = self.value(node, 1)
         if isinstance(v, Series):
             return v.coeffs[0]
@@ -360,6 +357,23 @@ class _Evaluator:
         raise TypeErrorValue(
             f"expected a scalar, got {kind_name(v)}", node.start, node.end
         )
+
+    def _q(self, node: Node) -> FieldElem:
+        """``scalar`` past its x check.  A call, a name but r, a list, an
+        exponent over the cap or a zero divisor is read as ``value`` reads
+        an operand, which gives its value or its diagnostic."""
+        cls = node.__class__
+        if cls is Num:
+            return fe(node.value)
+        if cls is Bin:
+            a, b = self._q(node.left), self._q(node.right)
+            if node.op != "/" or not b.is_zero():
+                return _OPS[node.op](a, b)
+        elif cls is Pow and 0 <= node.exponent <= MAX_INT_EXPONENT:
+            return self._q(node.base) ** node.exponent
+        elif cls is Name and node.ident == "r":
+            return R
+        return self.series(node, 1).coeffs[0]
 
     # generic -------------------------------------------------------------
 
@@ -390,17 +404,12 @@ class _Evaluator:
         if isinstance(node, Bin):
             a = self.series(node.left, p)
             b = self.series(node.right, p)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if b.prec and b.coeffs[0].is_zero() and not _contains_x(node.right):
+            if (node.op == "/" and b.prec and b.coeffs[0].is_zero()
+                    and not _contains_x(node.right)):
                 raise ZeroDivisionError(
                     f"scalar division by zero (divisor {pretty(node.right)})"
                 )
-            return a / b
+            return _OPS[node.op](a, b)
         if isinstance(node, Call):
             handler = _BUILTINS.get(node.name)
             if handler is None:
@@ -433,6 +442,12 @@ def _ser_up(ev, arg, p):
 def _ser_down(ev, arg, p):
     """One order less, for integration, which gains one."""
     return ev.series(arg, max(p - 1, 0))
+
+
+def _ser_rev(ev, arg, p):
+    """One order less from order 3 on, for reverseP, which integrates; the
+    checks of F(0) = 1 and of an inner revert need orders 1 and 2 whole."""
+    return ev.series(arg, p if p <= 2 else p - 1)
 
 
 def _ser_order(ev, arg, p):
@@ -543,7 +558,7 @@ def _builtin(fn, *readers, optional=0):
 _BUILTINS = {
     "P": _builtin(transforms.pipeline_P, _ser_up),
     "partialP": _builtin(transforms.partial_P, _ser_up),
-    "reverseP": _builtin(transforms.reverse_P, _ser),
+    "reverseP": _builtin(transforms.reverse_P, _ser_rev),
     "sumudu": _builtin(transforms.sumudu, _ser),
     "isumudu": _builtin(transforms.inverse_sumudu, _ser),
     "invert": _builtin(transforms.invert_transform, _ser, _scalar),

@@ -342,6 +342,17 @@ class FieldElem:
             return NotImplemented
         return fe(other) * self.inverse()
 
+    def __pow__(self, e: int) -> "FieldElem":
+        """Square-and-multiply over the bits of the integer e."""
+        if e < 0:
+            return self.inverse() ** -e
+        out = ONE
+        for bit in bin(e)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
@@ -359,13 +370,17 @@ class FieldElem:
         return fe(peval(self.num, value) / d)
 
     def __str__(self):
-        ns = pstr(self.num)
-        if self.den == PONE:
+        num, den = self.num, self.den
+        if len(num) <= 1 and len(den) == 1:  # a rational constant: no pstr
+            ns = istr(num[0]) if num else "0"
+            return ns if den == PONE else f"{ns}/{istr(den[0])}"
+        ns = pstr(num)
+        if den == PONE:
             return ns
-        ds = pstr(self.den)
+        ds = pstr(den)
         if " " in ns:
             ns = f"({ns})"
-        if " " in ds or len(self.den) > 1:
+        if " " in ds or len(den) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 

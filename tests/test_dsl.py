@@ -1,9 +1,10 @@
+import operator
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gfpipe.cfrac import JFraction, SFraction
@@ -18,6 +19,8 @@ from gfpipe.dsl import (
     Name,
     Num,
     Pow,
+    _BUILTINS,
+    _Evaluator,
     evaluate,
     evaluate_text,
     parse,
@@ -33,7 +36,7 @@ from gfpipe.errors import (
     TypeErrorValue,
 )
 from gfpipe.fixtures import all_fixtures, fixture_order
-from gfpipe.formats import CONVERSIONS, format_value, from_json, to_json
+from gfpipe.formats import CONVERSIONS, format_value, from_json, kind_name, to_json
 from gfpipe.ratfun import R, FieldElem, fe
 from gfpipe.series import Series
 from gfpipe.transforms import sumudu
@@ -134,6 +137,7 @@ PRETTY_CORPUS = [
     "(1+(r-1)*x)/((1-x)*(1+r*x))",
     "x^2",
     "(1-x)^3",
+    "((1-x)^2)^3",  # ^ does not chain, so a Pow base keeps its brackets
     "2^64",
     "sumudu(P(1/(1-2*x^2)))",
     "deleham([0,1,0,2],[1,1,2,2],5)",
@@ -433,6 +437,177 @@ class TestSpecialization:
 
         check()
         assert compared >= 400
+
+
+# -- the front end: spans, operators and literal scalars ----------------------
+
+
+def _nodes(node):
+    """node and every node below it, parents first."""
+    yield node
+    kids = {Bin: lambda n: (n.left, n.right), Pow: lambda n: (n.base,),
+            Call: lambda n: n.args, ListLit: lambda n: n.items}.get(type(node))
+    for kid in kids(node) if kids else ():
+        yield from _nodes(kid)
+
+
+@st.composite
+def arithmetic(draw, depth, leaves):
+    """An x-free text over ``leaves``, + - * /, brackets and ^0..^3."""
+    choice = draw(st.integers(0, 3 if depth > 0 else 0))
+    if choice == 0:
+        return draw(leaves)
+    inner = draw(arithmetic(depth - 1, leaves))
+    if choice == 1:
+        return f"{inner}{draw(st.sampled_from('+-*/'))}{draw(arithmetic(depth - 1, leaves))}"
+    if choice == 2:
+        return f"({inner})"
+    base = inner if inner.isalnum() else f"({inner})"
+    return f"{base}^{draw(st.sampled_from('0123'))}"
+
+
+INTEGERS = st.one_of(DIGITS, st.integers(0, 10**30).map(str))
+
+
+@given(st.sampled_from(["series", "scalar", "jfrac", "sfrac", "matrix"]).flatmap(
+    lambda sort: well_sorted(sort, 3)))
+@example("(x^2)*3")              # brackets around a Pow
+@example("2*(exp(x))")           # around a Call
+@example("jfrac([(1/2),r],[1])")  # around a list item
+@example("1-(2-3)")              # a right operand at the same precedence
+@example("8/(4/2)")
+@example("(1+x)^2*r")            # ^ after a parenthesised sum
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_each_node_spans_a_text_that_parses_to_it(text):
+    tree = parse(text)
+    assert (tree.start, tree.end) == (0, len(text))
+    for node in _nodes(tree):
+        assert parse(text[node.start:node.end]) == node, (text, node)
+    assert parse(pretty(tree)) == tree
+
+
+def _fraction(node):
+    """The rational value of an x-free integer tree, read off its shape."""
+    if isinstance(node, Num):
+        return Fraction(node.value)
+    if isinstance(node, Pow):
+        return _fraction(node.base) ** node.exponent
+    op = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    return op[node.op](_fraction(node.left), _fraction(node.right))
+
+
+@given(arithmetic(4, DIGITS))
+@example("1-2-3")
+@example("8/4/2")
+@example("1+2*3-4/5")
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_operators_group_as_in_python(text):
+    # Python's own grammar reads + - * / and ** with the same precedence
+    # and associativity, so its value of the text is an independent oracle
+    python = re.sub(r"\d+", r"F(\g<0>)", text.replace("^", "**"))
+    try:
+        expected = eval(python, {"F": Fraction})
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _fraction(parse(text))
+        return
+    assert _fraction(parse(text)) == expected
+
+
+def _outcome(read):
+    """read()'s value, or its error as (class, message, span)."""
+    try:
+        return read()
+    except (ExprError, *MATH_ERRORS) as err:
+        return type(err), str(err), getattr(err, "start", None), getattr(err, "end", None)
+
+
+class _SeriesScalars(_Evaluator):
+    """The evaluator with ``scalar`` read off a one-term series, the route
+    that ``_q`` replaces; kept as its oracle."""
+
+    def scalar(self, node):
+        if any(isinstance(n, Name) and n.ident == "x" for n in _nodes(node)):
+            raise TypeErrorValue(
+                "expected a scalar (no x allowed here)", node.start, node.end)
+        v = self.value(node, 1)
+        if isinstance(v, Series):
+            return v.coeffs[0]
+        if isinstance(v, FieldElem):
+            return v
+        raise TypeErrorValue(f"expected a scalar, got {kind_name(v)}", node.start, node.end)
+
+
+SCALAR_LEAVES = st.one_of(INTEGERS, st.sampled_from(["r", "r", "0", "y", "z"]))
+
+
+@given(arithmetic(4, SCALAR_LEAVES))
+@example("r^65")
+@example("1/(r-r)")
+@example("y/0+z")
+@example("(1/0)^2")
+@example("(0-1/2)^3")
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_literal_scalars_are_the_constant_term_of_their_series(text):
+    node = parse(text)
+    ev = _Evaluator(Env(order=3))
+    assert _outcome(lambda: ev.scalar(node)) == _outcome(lambda: ev.value(node, 1).coeffs[0])
+
+
+SCALAR_SLOTS = ["jfrac([{}],[])", "sfrac([1,{}])", "tinv({},1,1,3)", "powq(1+x,{})",
+                "invert(1/(1-x),{})", "deleham([1,{}],[1],2)", "matrix([[{}]])",
+                "matvec(matrix([[1]]),[{}])"]
+
+
+@given(st.builds(str.format, st.sampled_from(SCALAR_SLOTS), arithmetic(
+    3, st.one_of(SCALAR_LEAVES, st.sampled_from(["x", "oracle(N1,2,1)", "jfrac([1],[1])"])))))
+@example("tinv(1/0,1,1,3)")
+@example("jfrac([1/(r-r)],[])")
+@example("Bmat(2^3)")
+@example("powq(1+x,0-1/2)")
+@example("jfrac([x+1],[])")
+@example("jfrac([y],[])")
+@example("deleham([r^65],[1],2)")
+@example("tinv(oracle(N1,2,1),1,1,3)")  # a call: value(node, 1)
+@example("tinv(jfrac([1],[1])+1,1,1,3)")  # a call as an operand: its series
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_builtins_read_scalars_as_the_series_route_does(text):
+    node, env = parse(text), Env(order=3)
+    assert _outcome(lambda: _Evaluator(env).value(node, 3)) == \
+        _outcome(lambda: _SeriesScalars(env).value(node, 3))
+
+
+# every builtin with a series value; matvec's vector sets its length
+SERIES_BUILTINS = [name for name, (_, out) in SIGNATURES.items()
+                   if out == "series" and name != "matvec"]
+
+
+@pytest.mark.parametrize("name", SERIES_BUILTINS)
+def test_series_builtins_return_exactly_the_order_asked(name):
+    # reverseP reads order p, not p - 1, at orders 1 and 2 for its checks
+    # of F(0) = 1 and of an inner revert, so there it returns p + 1
+    returned = set()
+
+    # series arguments from GOOD, which meet the usual preconditions, or
+    # from the grammar; each drawn call is made at orders 1 to 7
+    @given(st.tuples(*(st.one_of(GOOD, st.just("x"), well_sorted(s, 2)) if s == "series"
+                       else well_sorted(s, 2) for s in SIGNATURES[name][0])))
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def check(args):
+        node = parse(f"{name}({','.join(args)})")
+        for p in range(1, 8):
+            try:
+                v = _BUILTINS[name](_Evaluator(Env(order=p)), node, p)
+            except (ExprError, *MATH_ERRORS):
+                continue
+            extra = name == "reverseP" and p <= 2
+            assert v.prec == p + extra, (node, p)
+            returned.add((args, p))
+
+    check()
+    assert len({p for _, p in returned}) >= 6 and len(returned) >= 20, sorted(returned)
 
 
 class TestFormats:

@@ -64,6 +64,36 @@ def test_pstr_descending_powers():
     assert pstr(()) == "0"
 
 
+LONG = 10**4400 + 7  # past CPython's 4,300-digit limit on str(int)
+
+
+@given(st.integers(), st.integers(1, 10**40))
+@example(0, 1)
+@example(1, 1)
+@example(-1, 1)
+@example(-6, 4)
+@example(LONG, 1)
+@example(-LONG, 3)
+@example(5, LONG)
+@example(-LONG, LONG + 2)
+def test_constant_prints_as_its_polynomials_do(n, d):
+    # a rational constant prints without pstr; the text is what the
+    # general rule, pstr of numerator and denominator, gives
+    v = fe(Fraction(n, d))
+    general = pstr(v.num) if v.den == (1,) else f"{pstr(v.num)}/{pstr(v.den)}"
+    assert str(v) == general
+
+
+@given(field_elems(), st.integers(0, 6))
+def test_integer_power_is_repeated_product(a, e):
+    expected = ONE
+    for _ in range(e):
+        expected = expected * a
+    assert a ** e == expected
+    if not a.is_zero():
+        assert a ** -e == 1 / expected
+
+
 @given(field_elems(), field_elems())
 def test_addition_commutes(a, b):
     assert a + b == b + a

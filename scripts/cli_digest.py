@@ -66,6 +66,13 @@ EDGE_CASES = [
     ["eval", "binom(1/(1-r*x))"],
     ["eval", "ibinom(1/(1-r*x))"],
     ["eval", "binom(ibinom(x))", "--format", "json"],
+    # continued fractions with rational-constant weights, and one with r
+    ["eval", "jfrac([(1/2),(2/3),(0-1/5),7,0,(3/8)],[(3/4),(1/6),2,(0-5/9),(1/7)])*1",
+     "--order", "12"],
+    ["eval", "sfrac([1,(1/2),0,3])*1", "--order", "10"],
+    ["eval", "contract(sfrac([(1/3),2,(0-1/2),(5/7),1,(2/9)]))*1", "--order", "12"],
+    ["eval", "tinv((1/3),2,(5/2),10)*1", "--order", "20"],
+    ["eval", "jfrac([1,r,(1/2)],[(1/3),r+1])*1", "--order", "10"],
 ]
 
 

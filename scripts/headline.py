@@ -25,6 +25,7 @@ EXPRESSIONS = (
     "powq(1+r*(1-exp(2*x)),0-1/2)",
     "binom(1/(1-r*x-(r-1)*x^2))",
     "tinv(1,r+1,r,64)*1",
+    "tinv(1,2,(1/2),64)*1",
 )
 
 

@@ -24,9 +24,12 @@ with T(0, 0) = 1, T(k, k) = 1, T(n, k) = 0 for k < 0 or k > n, and
 at a time, in O(prec * depth) entries.  Expansion (``series_to_jfrac``)
 runs it backwards, one column k at a time from T(n, 0) = [x^n] f: that is
 the Chebyshev algorithm, O(n^2) entries and one inverse per level.  Each
-entry in either direction is one ``ratfun.dot``, so one normal form.  An
-S-fraction is evaluated through its even contraction and expanded by
-undoing that contraction on the J-fraction.
+expansion entry is one ``ratfun.dot``, so one normal form; so is each
+evaluation entry, unless every weight in play is a rational constant.
+Then evaluation runs V(n, k) = s^n T(n, k) in Python ints, with s the lcm
+of the weights' denominators, and normalizes only each output coefficient
+V(n, 0) / s^n.  An S-fraction is evaluated through its even contraction
+and expanded by undoing that contraction on the J-fraction.
 
 The module also provides the two-sequence triangle construction (partial
 numerators r_k x + s_k x y, with y carried by the parameter r), and the
@@ -36,10 +39,11 @@ and fractions with affine diagonal b0 + n c and weights n^2 mu.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence, Tuple
 
 from .errors import DegenerateCfrac, InsufficientDepth, NonUnitConstantTerm, PatternMismatch
-from .ratfun import ONE, ZERO, R, FieldElem, dot, fe
+from .ratfun import ONE, ZERO, R, FieldElem, _make, _qnorm, dot, fe
 from .record import Record
 from .series import Series, divide
 from .triangles import triangle_from_gf
@@ -61,11 +65,44 @@ class SFraction(Record):
 
 def _tableau(b: Sequence, lam: Sequence, depth: int, prec: int) -> Series:
     """Series of the J-fraction cut below level ``depth``: the tableau run
-    forwards, row n from row n-1, each entry one ``dot`` of
-    (1, b_k, lam_(k+1)) against (T(n-1, k-1), T(n-1, k), T(n-1, k+1)).
-    Heights stop at depth - 1 and at prec - 1 - n, above which no path
-    returns in time; so O(prec * depth) entries.  ``b`` needs depth
-    entries, ``lam`` depth - 1."""
+    forwards, row n from row n-1.  Heights stop at depth - 1 and at
+    prec - 1 - n, above which no path returns in time; so O(prec * depth)
+    entries.  ``b`` needs depth entries, ``lam`` depth - 1.
+
+    When every weight in play is a rational constant the rows run in
+    Python ints: with s the lcm of the weights' denominators, V(n, k) =
+    s^n T(n, k) is an integer and
+
+        V(n+1, k) = s V(n, k-1) + (s b_k) V(n, k) + (s lam_(k+1)) V(n, k+1),
+
+    so no entry is a ``FieldElem`` and each output coefficient T(n, 0) =
+    V(n, 0) / s^n takes one constant normal form.  Any other weight sends
+    the run to ``_dot_tableau``."""
+    weights = (*b[:depth], *lam[:depth - 1])
+    s = 1
+    for w in weights:
+        if len(w.num) > 1 or len(w.den) > 1:
+            return _dot_tableau(b, lam, depth, prec)
+        s = lcm(s, w.den[0])
+    scaled = [w.num[0] * (s // w.den[0]) if w.num else 0 for w in weights]
+    steps = list(zip(scaled, [*scaled[depth:], 0]))  # (s b_k, s lam_(k+1))
+    row = [1]
+    out = [ONE]
+    sn = 1
+    for n in range(1, prec):
+        top = min(depth - 1, n, prec - 1 - n)
+        prev = [0, *row, 0, 0]  # prev[k] = V(n-1, k-1)
+        row = [s * prev[k] + bk * prev[k + 1] + lk * prev[k + 2]
+               for k, (bk, lk) in zip(range(top + 1), steps)]
+        sn *= s
+        out.append(_make(*_qnorm(row[0], sn)))
+    return Series(out)
+
+
+def _dot_tableau(b: Sequence, lam: Sequence, depth: int, prec: int) -> Series:
+    """``_tableau`` over Q(r): each entry is one ``dot`` of (1, b_k,
+    lam_(k+1)) against (T(n-1, k-1), T(n-1, k), T(n-1, k+1)), so one
+    normal form per entry."""
     steps = [(ONE, b[k], lam[k] if k + 1 < depth else ZERO) for k in range(depth)]
     row = [ONE]
     out = [ONE]

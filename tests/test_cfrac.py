@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gfpipe import cfrac
 from gfpipe.cfrac import (
     JFraction,
     SFraction,
@@ -314,6 +316,19 @@ entries = st.lists(scalars(), max_size=7)
 precs = st.integers(0, 12)
 
 
+@st.composite
+def constants(draw):
+    """Rational constants: zeros, negatives, denominators 1-9, and now and
+    then +-10^30/7."""
+    if draw(st.integers(0, 9)) == 0:
+        return fe(Fraction(draw(st.sampled_from([1, -1])) * 10**30, 7))
+    return fe(draw(st.fractions(-9, 9, max_denominator=9)))
+
+
+const_entries = st.lists(constants(), max_size=21)
+HALF = fe(Fraction(1, 2))
+
+
 class TestTableau:
     @given(entries, entries, precs)
     @settings(max_examples=60, deadline=None)
@@ -328,6 +343,30 @@ class TestTableau:
     def test_sfrac_matches_bottom_up(self, svals, prec):
         assert forms(lambda: sfrac_to_series(SFraction(svals), prec)) == forms(
             lambda: bottom_up_sfrac(SFraction(svals).s, prec))
+
+    @given(const_entries, const_entries, st.integers(0, 40))
+    @example(bs=[], lams=[], prec=6)
+    @example(bs=[ONE, fe(2), -ONE, fe(Fraction(1, 3))], lams=[fe(2), ZERO, fe(5)],
+             prec=12)                                     # terminates at the zero
+    @example(bs=[HALF], lams=[fe(3)], prec=1)
+    @example(bs=[HALF], lams=[fe(3)], prec=2)
+    @example(bs=[HALF] * 20, lams=[HALF] * 20, prec=40)   # s^n = 2^n
+    @example(bs=[ONE, R, fe(Fraction(1, 3))], lams=[fe(2), fe(Fraction(1, 5))],
+             prec=8)                                      # an r weight: dot loop
+    @example(bs=[(R + 1) - R, fe(2)], lams=[fe(Fraction(1, 7))], prec=10)
+    @settings(max_examples=100, deadline=None)
+    def test_constant_weights_match_bottom_up_and_dot_loop(self, bs, lams, prec):
+        """Rational-constant weights run the tableau in integers; the dot
+        loop, put in place of ``_tableau``, is the second oracle."""
+        J, S = JFraction(bs, lams), SFraction(bs + lams)
+        for value, oracle in ((lambda: jfrac_to_series(J, prec),
+                               lambda: bottom_up_jfrac(J, prec)),
+                              (lambda: sfrac_to_series(S, prec),
+                               lambda: bottom_up_sfrac(S.s, prec))):
+            got = forms(value)
+            assert got == forms(oracle)
+            with patch.object(cfrac, "_tableau", cfrac._dot_tableau):
+                assert got == forms(value)
 
     @given(st.lists(small_ints, max_size=8), st.lists(small_ints, max_size=8),
            st.integers(0, 8))

@@ -61,7 +61,9 @@ EDGE_CASES = [
     ["eval", "triangle(1/(1+r*(1-exp(x))),5,egf)"],
     ["eval", "triangle(1/(1-x),3,foo)"],
     ["triangle", "1/(1+r*(1-exp(x)))", "--rows", "5", "--mode", "egf"],
+    # a usage error: a triangle's entries hold no r, so only eval has --set
     ["triangle", "exp(r*x)", "--rows", "4", "--mode", "egf", "--set", "r=2"],
+    ["eval", "triangle(exp(r*x),4,egf)", "--set", "r=2"],
     ["triangle", "1/(1-x/r)", "--rows", "3"],
     ["eval", "binom(1/(1-r*x))"],
     ["eval", "ibinom(1/(1-r*x))"],
@@ -73,6 +75,9 @@ EDGE_CASES = [
     ["eval", "contract(sfrac([(1/3),2,(0-1/2),(5/7),1,(2/9)]))*1", "--order", "12"],
     ["eval", "tinv((1/3),2,(5/2),10)*1", "--order", "20"],
     ["eval", "jfrac([1,r,(1/2)],[(1/3),r+1])*1", "--order", "10"],
+    # the fixture list in the formats besides the table
+    ["fixtures", "--list", "--format", "csv"],
+    ["fixtures", "--list", "--format", "json"],
 ]
 
 

@@ -3,10 +3,11 @@
 Subcommands:
 
   eval EXPR [--order N] [--set r=p/q] [--format table|csv|json]
-  triangle EXPR --rows N [--mode ogf|egf] [--set r=p/q] [--format F]
+  triangle EXPR --rows N [--mode ogf|egf] [--format F]
   fixtures [--list | --run [ID ...]] [--format F]
 
-``triangle`` evaluates the builtin triangle(EXPR, N, mode) at order N.
+``triangle`` evaluates the builtin triangle(EXPR, N, mode) at order N; it
+reads powers of r as columns, so its entries hold no r and it has no --set.
 
 Exit codes: 0 success, 1 mathematical error, 2 usage or expression error.
 Results go to stdout, diagnostics to stderr.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -64,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(subparser=p)
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
-        if p is not p_fix:
+        if p is p_eval:  # after --format: the usage lines keep their order
             p.add_argument("--set", dest="set_r", type=_parse_set, default=None,
                            metavar="r=p/q",
                            help="substitute an exact rational for r afterwards")
@@ -92,7 +94,7 @@ def cli_main(argv=None) -> int:
                 ast = Call(-1, -1, "triangle",
                            (ast, Num(-1, -1, args.rows), Name(-1, -1, args.mode)))
                 order = args.rows
-            value = evaluate(ast, Env(order=order, r_value=args.set_r))
+            value = evaluate(ast, Env(order=order, r_value=getattr(args, "set_r", None)))
             print(format_value(value, args.format))
             return 0
 
@@ -100,17 +102,16 @@ def cli_main(argv=None) -> int:
         from . import fixtures
 
         if args.list_only:
-            for fx in fixtures.all_fixtures():
-                print(f"{fx.id}\t{fx.source}")
+            print(fixtures.render_list(args.format))
             return 0
         known = {fx.id for fx in fixtures.all_fixtures()}
         missing = [i for i in args.run or () if i not in known]
         if missing:
             args.subparser.error(f"unknown fixture ids: {', '.join(missing)}")
         ids = args.run if args.run else None
-        report = fixtures.run_fixtures(ids)
-        print(fixtures.render_report(report, args.format))
-        return 0 if report.all_passed else 1
+        cases = fixtures.run_fixtures(ids)
+        print(fixtures.render_report(cases, args.format))
+        return 0 if all(c.passed for c in cases) else 1
 
     except ExprError as exc:
         _diagnose(exc, getattr(args, "expr", ""))
@@ -121,7 +122,15 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+    except BrokenPipeError:
+        # the reader left early (``| head``): no traceback, and fd 1 on
+        # devnull so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -92,19 +92,6 @@ class CaseResult(Record):
     __slots__ = ("id", "passed", "detail")
 
 
-class Report(Record):
-    __slots__ = ("cases",)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-    @property
-    def summary(self) -> str:
-        good = sum(1 for c in self.cases if c.passed)
-        return f"{good}/{len(self.cases)} fixtures passed"
-
-
 def _first_diff(kind, got, want, prefix: bool) -> Optional[str]:
     """The first place where ``got`` differs from ``want``, walking the
     entries of their kind to its depth; ``prefix`` lets every list of
@@ -159,8 +146,8 @@ def run_fixture(fx: Fixture) -> CaseResult:
     return CaseResult(fx.id, diff is None, diff or "")
 
 
-def run_fixtures(ids=None) -> Report:
-    """Run the selected fixtures (None runs them all; [] runs none)."""
+def run_fixtures(ids=None) -> tuple:
+    """The CaseResults of the selected fixtures (None runs all; [] none)."""
     by_id = _by_id()
     if ids is not None:
         missing = [i for i in ids if i not in by_id]
@@ -169,18 +156,21 @@ def run_fixtures(ids=None) -> Report:
         chosen = [by_id[i] for i in ids]
     else:
         chosen = by_id.values()
-    return Report(tuple(run_fixture(fx) for fx in chosen))
+    return tuple(run_fixture(fx) for fx in chosen)
 
 
-def render_report(report: Report, fmt: str = "table") -> str:
+def render_report(cases, fmt: str = "table") -> str:
+    """The report on ``cases`` (what run_fixtures returns) in ``fmt``, with
+    the summary "k/n fixtures passed"."""
+    summary = f"{sum(c.passed for c in cases)}/{len(cases)} fixtures passed"
     if fmt == "json":
         return json.dumps(
             {
                 "kind": "report",
-                "summary": report.summary,
+                "summary": summary,
                 "cases": [
                     {"id": c.id, "passed": c.passed, "detail": c.detail}
-                    for c in report.cases
+                    for c in cases
                 ],
             },
             separators=(",", ":"),
@@ -188,13 +178,27 @@ def render_report(report: Report, fmt: str = "table") -> str:
     if fmt == "csv":
         lines = [
             f"{c.id},{'PASS' if c.passed else 'FAIL'},\"{c.detail}\""
-            for c in report.cases
+            for c in cases
         ]
-        return "\n".join(lines + [report.summary])
+        return "\n".join(lines + [summary])
     lines = []
-    for c in report.cases:
+    for c in cases:
         mark = "PASS" if c.passed else "FAIL"
         tail = f"  ({c.detail})" if c.detail else ""
         lines.append(f"{mark}  {c.id}{tail}")
-    lines.append(report.summary)
+    lines.append(summary)
     return "\n".join(lines)
+
+
+def render_list(fmt: str = "table") -> str:
+    """Every fixture's id and source, in file order: tab-separated lines in
+    a table, ``id,"source"`` rows in csv (a ``"`` in the source doubled),
+    and one list of {"id", "source"} objects in json."""
+    fxs = all_fixtures()
+    if fmt == "json":
+        return json.dumps([{"id": fx.id, "source": fx.source} for fx in fxs],
+                          separators=(",", ":"))
+    if fmt == "csv":
+        return "\n".join('{},"{}"'.format(fx.id, fx.source.replace('"', '""'))
+                         for fx in fxs)
+    return "\n".join(f"{fx.id}\t{fx.source}" for fx in fxs)

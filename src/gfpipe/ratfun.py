@@ -33,7 +33,7 @@ polynomial denominator met on the way hands the sum to the lcm in Z[r].
 A sum of constants ends in one ``_qnorm``; otherwise the constant sum
 joins the Z[r] sum over the common lcm, which ends in ``_norm``.  Since
 the normal form is unique, ``dot`` returns exactly what the left fold
-returns.
+returns.  Every integer power goes through one loop, ``power``.
 """
 
 from __future__ import annotations
@@ -343,15 +343,10 @@ class FieldElem:
         return fe(other) * self.inverse()
 
     def __pow__(self, e: int) -> "FieldElem":
-        """Square-and-multiply over the bits of the integer e."""
+        """``power`` for an int e; a negative e inverts first."""
         if e < 0:
             return self.inverse() ** -e
-        out = ONE
-        for bit in bin(e)[2:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return power(self, e) if e else ONE
 
     def __eq__(self, other):
         if not isinstance(other, _OPERANDS):
@@ -462,6 +457,17 @@ def _dot_rational(xs, ys) -> FieldElem:
     for (x, y), pd in zip(terms, dens):
         num = padd(num, pmul(pmul(x.num, y.num), pdiv_exact(den, pd)))
     return FieldElem(num, den)
+
+
+def power(x, e: int):
+    """x ** e for an int e >= 1, FieldElem or Series: one squaring per bit
+    of e below the leading one, and one more product per set bit."""
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = acc * acc
+        if bit == "1":
+            acc = acc * x
+    return acc
 
 
 ZERO = FieldElem(PZERO)

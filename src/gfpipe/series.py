@@ -22,7 +22,7 @@ from .errors import (
     NonUnitConstantTerm,
     NotReversible,
 )
-from .ratfun import ONE, ZERO, FieldElem, dot, fe
+from .ratfun import ONE, ZERO, FieldElem, dot, fe, power
 
 
 class Series:
@@ -61,10 +61,6 @@ class Series:
         if prec < 1:
             return cls([])
         return cls([fe(c)] + [ZERO] * (prec - 1))
-
-    @classmethod
-    def zero(cls, prec: int) -> "Series":
-        return cls.constant(ZERO, prec)
 
     @classmethod
     def one(cls, prec: int) -> "Series":
@@ -131,18 +127,10 @@ class Series:
         return divide(_as_series(other, self.prec), self)
 
     def __pow__(self, e: int):
-        """Square-and-multiply over the bits of e below the leading one:
-        one squaring per bit, one more product per set bit."""
+        """``ratfun.power`` for an int e >= 0."""
         if not isinstance(e, int) or e < 0:
             raise TypeError("use pow_rational for non-integer powers")
-        if e == 0:
-            return Series.one(self.prec)
-        acc = self
-        for bit in bin(e)[3:]:
-            acc = acc * acc
-            if bit == "1":
-                acc = acc * self
-        return acc
+        return power(self, e) if e else Series.one(self.prec)
 
     # -- calculus ------------------------------------------------------
 

@@ -168,8 +168,7 @@ def criterion_6_pairings():
 def criterion_7_triangle_conformance():
     from gfpipe.fixtures import all_fixtures, run_fixtures
 
-    report = run_fixtures()
-    bad = [c for c in report.cases if not c.passed]
+    bad = [c for c in run_fixtures() if not c.passed]
     assert not bad, "; ".join(f"{c.id}: {c.detail}" for c in bad)
     n_triangles = sum(1 for fx in all_fixtures() if fx.kind == "triangle")
     assert n_triangles >= 25

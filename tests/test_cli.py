@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -9,6 +12,7 @@ import pytest
 
 import gfpipe
 from gfpipe.cli import cli_main
+from gfpipe.fixtures import all_fixtures
 
 
 def run(capsys, *argv):
@@ -181,12 +185,13 @@ class TestTriangle:
         assert code == 0
         assert out == "1\n1,1\n1,2,1\n\n"
 
-    def test_set_r_specializes_rows(self, capsys):
-        code, out, _ = run(capsys, "triangle", "1/(1+r*(1-exp(x)))",
-                           "--rows", "4", "--mode", "egf", "--set", "r=1",
-                           "--format", "csv")
-        assert code == 0
-        assert out == "1\n0,1\n0,1,2\n0,1,6,6\n\n"
+    def test_set_is_not_an_option(self, capsys):
+        # the entries of a triangle hold no r, so there is nothing to set
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "triangle", "1/(1+r*(1-exp(x)))", "--rows", "4",
+                "--mode", "egf", "--set", "r=1")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --set r=1" in capsys.readouterr().err
 
     def test_mode_guard(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -212,7 +217,8 @@ class TestTriangle:
         assert (code, out, err) == (0, csv, "")
 
 
-# the triangle subcommand is the triangle builtin: same outcome, byte for byte
+# the triangle subcommand is the triangle builtin: same outcome, byte for
+# byte; eval's --set leaves the builtin's entries as they are, since they hold no r
 @pytest.mark.parametrize("expr,rows,mode", [
     ("1/(1+r*(1-exp(x)))", 5, "egf"),
     ("1/(1-x*(1+r))", 4, "ogf"),
@@ -225,7 +231,7 @@ class TestTriangle:
 @pytest.mark.parametrize("set_r", [(), ("--set", "r=2"), ("--set", "r=1/2")])
 def test_triangle_subcommand_is_the_builtin(capsys, expr, rows, mode, fmt, set_r):
     sub = run(capsys, "triangle", expr, "--rows", str(rows), "--mode", mode,
-              "--format", fmt, *set_r)
+              "--format", fmt)
     builtin = run(capsys, "eval", f"triangle({expr},{rows},{mode})",
                   "--order", str(rows), "--format", fmt, *set_r)
     assert sub == builtin
@@ -237,6 +243,20 @@ class TestFixturesCommand:
         code, out, _ = run(capsys, "fixtures", "--list")
         assert code == 0
         assert "fubini-pipeline" in out
+        assert out == "".join(f"{fx.id}\t{fx.source}\n" for fx in all_fixtures())
+
+    def test_list_csv_quotes_every_source(self, capsys):
+        code, out, _ = run(capsys, "fixtures", "--list", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == 2 for row in rows)
+        assert rows == [[fx.id, fx.source] for fx in all_fixtures()]
+        assert any("," in fx.source for fx in all_fixtures())
+
+    def test_list_json_is_one_line_in_file_order(self, capsys):
+        code, out, _ = run(capsys, "fixtures", "--list", "--format", "json")
+        assert code == 0 and out.count("\n") == 1
+        assert [e["id"] for e in json.loads(out)] == [fx.id for fx in all_fixtures()]
 
     def test_run_selected(self, capsys):
         code, out, _ = run(capsys, "fixtures", "--run", "fubini-pipeline",
@@ -311,7 +331,7 @@ MIXED_CALLS = [
     ("eval", "tosfrac(1+x^3)", "--order", "5", "--format", "json"),
     ("fixtures", "--run", "fubini-pipeline", "--format", "json"),
     ("eval", "x", "--order", "0"),
-    ("triangle", "1/(1-x-r*x)", "--rows", "3", "--format", "csv", "--set", "r=-1"),
+    ("triangle", "1/(1-x-r*x)", "--rows", "3", "--format", "csv"),
     ("eval", "x+", "--format", "table"),
 ]
 
@@ -364,3 +384,38 @@ def test_startup_imports_no_dataclasses():
     assert Path(data) == pkg / "fixtures.json" and Path(data).is_file()
     pyproject = (pkg.parent.parent / "pyproject.toml").read_text()
     assert '[tool.setuptools.package-data]\ngfpipe = ["fixtures.json"]' in pyproject
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    """A reader that leaves early (``gfpipe ... | head -c 20``) ends the
+    CLI with exit 1 and nothing on stderr.  The output, over 1 MB, is far
+    larger than a pipe's buffer, so the CLI is still writing when the
+    pipe closes."""
+    pkg = Path(gfpipe.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gfpipe.cli", "eval", "1/(1-2*x)", "--order", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(20) == b"1, 2, 4, 8, 16, 32, "
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+    return [line.split() for line in block.splitlines() if line.startswith("gfpipe ")]
+
+
+@pytest.mark.parametrize("command", ["eval", "triangle", "fixtures"])
+def test_readme_synopsis_names_every_option(capsys, command):
+    """The options of README's ``gfpipe <command>`` line are those of the
+    command's usage, so the synopsis cannot drift from the parser."""
+    [words] = [w for w in readme_cli_lines() if w[1] == command]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    options = re.compile(r"--[a-z][a-z-]*")
+    assert set(options.findall(" ".join(words))) == set(options.findall(usage))

@@ -18,8 +18,7 @@ from gfpipe.fixtures import (
 
 
 def test_every_fixture_passes():
-    report = run_fixtures()
-    failures = [c for c in report.cases if not c.passed]
+    failures = [c for c in run_fixtures() if not c.passed]
     assert not failures, "\n".join(f"{c.id}: {c.detail}" for c in failures)
 
 
@@ -47,17 +46,17 @@ def test_inventory_coverage():
 
 
 def test_none_filter_runs_everything():
-    assert len(run_fixtures(None).cases) == len(all_fixtures())
+    assert len(run_fixtures(None)) == len(all_fixtures())
 
 
 def test_empty_filter_is_a_vacuous_pass():
-    report = run_fixtures([])
-    assert report.cases == () and report.all_passed
+    assert run_fixtures([]) == ()
+    assert render_report(()).endswith("0/0 fixtures passed")
 
 
 def test_filtering():
-    report = run_fixtures(["fubini-pipeline"])
-    assert len(report.cases) == 1 and report.all_passed
+    [case] = run_fixtures(["fubini-pipeline"])
+    assert case.id == "fubini-pipeline" and case.passed
 
 
 def test_unknown_id_raises():
@@ -74,13 +73,14 @@ def test_failure_reports_first_difference():
 
 
 def test_report_renders_in_three_formats():
-    report = run_fixtures(["fubini-pipeline", "a019538"])
-    table = render_report(report, "table")
+    cases = run_fixtures(["fubini-pipeline", "a019538"])
+    table = render_report(cases, "table")
     assert table.splitlines()[0].startswith("PASS")
-    csv_text = render_report(report, "csv")
+    csv_text = render_report(cases, "csv")
     assert csv_text.splitlines()[0].startswith("fubini-pipeline,PASS")
-    blob = json.loads(render_report(report, "json"))
+    blob = json.loads(render_report(cases, "json"))
     assert blob["kind"] == "report" and len(blob["cases"]) == 2
+    assert blob["summary"] == "2/2 fixtures passed"
 
 
 ROW = {"id": "one", "kind": "series", "build": "1", "expected": [1], "source": "one"}

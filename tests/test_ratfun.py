@@ -94,6 +94,20 @@ def test_integer_power_is_repeated_product(a, e):
         assert a ** -e == 1 / expected
 
 
+def test_integer_power_by_squaring(monkeypatch):
+    # the products of ratfun.power: one squaring per bit of e below the
+    # leading one, one more per set bit; none for e = 0 or 1
+    a = (R + 1) / (R * R - 2)
+    products = []
+    mul = FieldElem.__mul__
+    monkeypatch.setattr(FieldElem, "__mul__",
+                        lambda x, y: products.append(1) or mul(x, y))
+    for e, count in [(0, 0), (1, 0), (2, 1), (3, 2), (64, 6), (63, 10), (-3, 2)]:
+        products.clear()
+        a ** e
+        assert len(products) == count, e
+
+
 @given(field_elems(), field_elems())
 def test_addition_commutes(a, b):
     assert a + b == b + a

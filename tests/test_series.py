@@ -45,7 +45,7 @@ class TestRingOps:
     def test_add(self):
         assert S(1, 0, 1) + S(0, 1, 0) == S(1, 1, 1)
         f = S(2, 3, 4)
-        assert f + Series.zero(3) == f
+        assert f + Series.constant(0, 3) == f
         assert S(1, -1) + S(-1, 1) == S(0, 0)
 
     def test_min_precision(self):
@@ -194,7 +194,7 @@ class TestExpLog:
             [0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
 
     def test_exp_examples(self):
-        assert ints(Series.zero(3).exp()) == [1, 0, 0]
+        assert ints(Series.constant(0, 3).exp()) == [1, 0, 0]
         assert ints(Series.x(5).exp()) == \
             [1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)]
 

@@ -75,6 +75,12 @@ EDGE_CASES = [
     ["eval", "contract(sfrac([(1/3),2,(0-1/2),(5/7),1,(2/9)]))*1", "--order", "12"],
     ["eval", "tinv((1/3),2,(5/2),10)*1", "--order", "20"],
     ["eval", "jfrac([1,r,(1/2)],[(1/3),r+1])*1", "--order", "10"],
+    # triangles on the integer route and at its boundary: a non-unit
+    # diagonal, a rational factor, an exponential array, a single row
+    ["eval", "inv(triangle(1/(1-x-2*r*x),5,ogf))"],
+    ["eval", "matmul(Bmat(6),riordan(1/(1-(1/2)*x),x/(1-(1/2)*x),6))"],
+    ["eval", "eriordan(1/(1-x),x/(1-x),6)"],
+    ["eval", "inv(Bmat(1))"],
     # the fixture list in the formats besides the table
     ["fixtures", "--list", "--format", "csv"],
     ["fixtures", "--list", "--format", "json"],

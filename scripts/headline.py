@@ -26,6 +26,7 @@ EXPRESSIONS = (
     "binom(1/(1-r*x-(r-1)*x^2))",
     "tinv(1,r+1,r,64)*1",
     "tinv(1,2,(1/2),64)*1",
+    "inv(riordan(1/(1-x-x^2),x/(1-x),64))",
 )
 
 

@@ -177,7 +177,8 @@ def render_report(cases, fmt: str = "table") -> str:
         )
     if fmt == "csv":
         lines = [
-            f"{c.id},{'PASS' if c.passed else 'FAIL'},\"{c.detail}\""
+            '{},{},"{}"'.format(c.id, "PASS" if c.passed else "FAIL",
+                                c.detail.replace('"', '""'))
             for c in cases
         ]
         return "\n".join(lines + [summary])

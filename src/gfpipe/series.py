@@ -103,15 +103,20 @@ class Series:
         each coefficient is one ``dot`` of a prefix of self against the
         reversed prefix of other, so it is normalised once.  When either
         factor is a constant to that precision, the product is the other
-        factor scaled by it, one field product per coefficient."""
+        factor scaled by it, one field product per coefficient, or the
+        other factor itself when the constant is 1."""
         if isinstance(other, (int, Fraction, FieldElem)):
             k = fe(other)
-            return Series([c * k for c in self.coeffs])
+            return self if k.is_one() else Series([c * k for c in self.coeffs])
         n = min(self.prec, other.prec)
         a, b = self.coeffs, other.coeffs
         if not any(c.num for c in b[1:n]):
+            if n and b[0].is_one():
+                return self.truncate(n)
             return Series([c * b[0] for c in a[:n]])
         if not any(c.num for c in a[1:n]):
+            if a[0].is_one():
+                return other.truncate(n)
             return Series([a[0] * c for c in b[:n]])
         return Series([dot(a[: k + 1], b[k::-1]) for k in range(n)])
 

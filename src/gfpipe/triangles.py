@@ -7,12 +7,21 @@ parameter r), from Riordan pairs, from continued fractions, or from the
 closed forms in ``oracle``.  Oracles are deliberately computed from
 binomial sums and explicit recurrences only, independent of any series
 machinery, so they can confirm the generating-function routes.
+
+``matmul``, ``tri_inverse`` and ``riordan_to_triangle`` run one loop over
+either element type.  When every entry in play is an integer (denominator
+1, degree 0 in r; ``_ints`` reads them), the loop runs over Python ints,
+each sum of products one ``sum(map(mul, ...))``, and ``FieldElem``s are
+built once, for the output.  An integer has no denominator, so these sums
+never grow a common one and the route needs no size rule.  Any other
+entry keeps the loop on ``dot``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -23,7 +32,7 @@ from .errors import (
     SingularDiagonal,
     UnknownOracle,
 )
-from .ratfun import ONE, ZERO, FieldElem, dot, fe
+from .ratfun import ONE, PONE, ZERO, FieldElem, dot, fe
 from .record import Record
 from .series import Series, divide
 
@@ -132,14 +141,34 @@ def reversal(T: Triangle) -> Triangle:
     return Triangle([tuple(reversed(row)) for row in T.rows])
 
 
+def _ints(rows):
+    """The entries of ``rows`` (a triangle's rows, or series' coefficient
+    lists) as lists of Python ints, or None if any is not an integer."""
+    out = []
+    for row in rows:
+        for v in row:
+            if v.den != PONE or len(v.num) > 1:
+                return None
+        out.append([v.num[0] if v.num else 0 for v in row])
+    return out
+
+
+def _isum(xs, ys):
+    """``dot`` over Python ints."""
+    return sum(map(mul, xs, ys))
+
+
 def matmul(A: Triangle, B: Triangle) -> Triangle:
-    """Entry (i, j) is one ``dot`` of A's row i from column j against B's
-    column j from row j; B's columns are built once, and ``dot`` stops at
-    the end of the row."""
+    """Entry (i, j) is one sum of products of A's row i from column j with
+    B's column j from row j; B's columns are built once, and the sum stops
+    at the end of the row.  Over integer entries it runs in Python ints,
+    otherwise each sum is one ``dot``."""
     n = min(A.n_rows, B.n_rows)
-    cols = [[B.rows[k][j] for k in range(j, n)] for j in range(n)]
+    ab = _ints(A.rows[:n] + B.rows[:n])
+    a, b, sp = (ab[:n], ab[n:], _isum) if ab else (A.rows, B.rows, dot)
+    cols = [[b[k][j] for k in range(j, n)] for j in range(n)]
     return Triangle([
-        [dot(A.rows[i][j:], cols[j]) for j in range(i + 1)]
+        [sp(a[i][j:], cols[j]) for j in range(i + 1)]
         for i in range(n)
     ])
 
@@ -152,18 +181,28 @@ def tri_inverse(T: Triangle) -> Triangle:
     """Exact inverse of the truncation, by forward substitution.
 
     Row i of T below the diagonal is scaled once by -1/T(i,i); entry (i, j)
-    of the inverse is then one ``dot`` of that row from column j against
-    the inverse's column j found so far, to which it is appended."""
+    of the inverse is then one sum of products of that row from column j
+    with the inverse's column j found so far, to which it is appended.
+    Over integer entries with every diagonal entry ±1, its own inverse, no
+    division is needed and the loop runs in Python ints; otherwise each
+    sum is one ``dot``."""
     n = T.n_rows
+    t = _ints(T.rows)
+    if t and all(row[i] in (1, -1) for i, row in enumerate(t)):
+        diag, sp = [row[i] for i, row in enumerate(t)], _isum
+    else:
+        t, sp = T.rows, dot
+        for i, row in enumerate(t):
+            if row[i].is_zero():
+                raise SingularDiagonal(f"zero diagonal entry in row {i}")
+        diag = [row[i].inverse() for i, row in enumerate(t)]
     cols = [[] for _ in range(n)]
-    for i, row in enumerate(T.rows):
-        if row[i].is_zero():
-            raise SingularDiagonal(f"zero diagonal entry in row {i}")
-        d = row[i].inverse()
+    for i, row in enumerate(t):
+        d = diag[i]
         m = -d
         scaled = [v * m for v in row[:i]]
         for j in range(i):
-            cols[j].append(dot(scaled[j:], cols[j]))
+            cols[j].append(sp(scaled[j:], cols[j]))
         cols[i].append(d)
     return Triangle([[cols[j][i - j] for j in range(i + 1)] for i in range(n)])
 
@@ -176,28 +215,28 @@ def riordan_to_triangle(Rarr: RiordanArray, rows: int, exponential: bool = False
     """Column k is g*f^k, scaled by n!/k! for an exponential array.
 
     Column k is made from column k-1, whose valuation is at least k-1: as
-    f(0) = 0, its entry n >= k is one ``dot`` of column k-1's entries k-1
-    .. n-1 against f's coefficients n-k+1 .. 1, and its entries below k
-    are zero, also when f'(0) = 0."""
+    f(0) = 0, its entry n >= k is one sum of products of column k-1's
+    entries k-1 .. n-1 with f's coefficients n-k+1 .. 1, and its entries
+    below k are zero, also when f'(0) = 0.  When g and f have integer
+    coefficients the columns, and the integer scale n!/k!, run in Python
+    ints; otherwise each sum is one ``dot``."""
     g, f = Rarr.g.coeffs, Rarr.f.coeffs
     if min(len(g), len(f)) < rows:
         raise ValueError("Riordan pair not expanded far enough")
+    gf = _ints((g[:rows], f[:rows]))
+    (g, f), sp = (gf, _isum) if gf else ((g, f), dot)
     col = g[:rows]
     cols = [col]
     for k in range(1, rows):
-        col = [ZERO] * k + [dot(col[k - 1:n], f[n - k + 1:0:-1])
+        col = [ZERO] * k + [sp(col[k - 1:n], f[n - k + 1:0:-1])
                             for n in range(k, rows)]
         cols.append(col)
-    out = []
-    for n in range(rows):
-        row = []
-        for k in range(n + 1):
-            c = cols[k][n]
-            if exponential:
-                c = c * Fraction(factorial(n), factorial(k))
-            row.append(c)
-        out.append(row)
-    return Triangle(out)
+    facts = [factorial(n) for n in range(rows)] if exponential else ()
+    return Triangle([
+        [cols[k][n] * (facts[n] // facts[k]) if exponential else cols[k][n]
+         for k in range(n + 1)]
+        for n in range(rows)
+    ])
 
 
 def riordan_apply(Rarr: RiordanArray, h: Series) -> Series:

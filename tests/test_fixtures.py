@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -81,6 +82,13 @@ def test_report_renders_in_three_formats():
     blob = json.loads(render_report(cases, "json"))
     assert blob["kind"] == "report" and len(blob["cases"]) == 2
     assert blob["summary"] == "2/2 fixtures passed"
+
+
+def test_csv_report_doubles_quotes_in_a_detail():
+    bad = run_fixture(all_fixtures()[0].replace(build="x'"))
+    assert not bad.passed and '"' in bad.detail
+    first = render_report((bad,), "csv").splitlines()[0]
+    assert next(csv.reader([first])) == [bad.id, "FAIL", bad.detail]
 
 
 ROW = {"id": "one", "kind": "series", "build": "1", "expected": [1], "source": "one"}

@@ -11,6 +11,6 @@ def test_headline_table_at_order_4(capsys):
     headline.main(["4"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["| expression | order 4 |", "|---|---|"]
-    assert len(lines) == 2 + len(headline.EXPRESSIONS) == 10
+    assert len(lines) == 2 + len(headline.EXPRESSIONS) == 11
     for line, expr in zip(lines[2:], headline.EXPRESSIONS):
         assert line.startswith(f"| `{expr}` | ") and line.endswith(" |")

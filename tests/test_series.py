@@ -387,9 +387,20 @@ inv1r = FieldElem((1,), (1, 1))
 # unequal precisions: the product stops at the shorter
 @example((Series([1, R, inv1r, 2]), Series([fe(2), 0])))
 @example((Series([R + 1, 0]), Series([1, R, inv1r, 2])))
+# the constant 1 on either side, at a shorter and at the same precision
+@example((Series([1, 0, 0]), Series([1, R, inv1r, 2])))
+@example((Series([1, R, inv1r, 2]), Series.one(4)))
 def test_mul_matches_the_per_term_loop(ab):
     a, b = ab
     assert forms(a * b) == forms(mul_oracle(a, b))
+
+
+def test_mul_by_one_returns_the_other_factor():
+    f = Series([1, R, inv1r, 2])
+    assert f * 1 is f and 1 * f is f and f * ONE is f
+    assert f * Series.one(4) is f and Series.one(4) * f is f
+    assert Series.one(3) * f == f.truncate(3) == f * Series.one(3)
+    assert (Series.one(6) * f).prec == 4
 
 
 @given(precs.flatmap(lambda n: st.tuples(

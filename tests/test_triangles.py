@@ -1,10 +1,13 @@
+from contextlib import ExitStack
 from fractions import Fraction
 from math import factorial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gfpipe import triangles
 from gfpipe.errors import (
     IndexRange,
     NonPolynomialRow,
@@ -649,3 +652,162 @@ class TestColumnKernels:
         T = riordan_to_triangle(
             RiordanArray(_exp(7), Series([0, 0, 1, 1, 0, 0, 0])), 7, exponential=True)
         assert tri_ints(T)[6] == [1, 150, 1260, 120, 0, 0, 0]
+
+
+# -- the integer route against the dot route and plain Fractions -------------
+
+
+def matmul_by_fractions(A, B):
+    n = min(A.n_rows, B.n_rows)
+    a, b = (tri_ints(Triangle(T.rows[:n])) for T in (A, B))
+    return [[sum((a[i][k] * b[k][j] for k in range(j, i + 1)), Fraction(0))
+             for j in range(i + 1)] for i in range(n)]
+
+
+def riordan_by_fractions(Rarr, rows, exponential):
+    """Column k of the array is g * f^k, by plain Fraction convolutions."""
+    g = [v.as_fraction() for v in Rarr.g.coeffs[:rows]]
+    f = [v.as_fraction() for v in Rarr.f.coeffs[:rows]]
+    cols = [g]
+    for _ in range(1, rows):
+        col = cols[-1]
+        cols.append([sum((col[m] * f[n - m] for m in range(n)), Fraction(0))
+                     for n in range(rows)])
+    return [[cols[k][n] * (Fraction(factorial(n), factorial(k)) if exponential else 1)
+             for k in range(n + 1)] for n in range(rows)]
+
+
+def outcome(fn):
+    """fn()'s value, or the type and text of the SingularDiagonal it raises."""
+    try:
+        return fn()
+    except SingularDiagonal as exc:
+        return type(exc), str(exc)
+
+
+def routes(fn):
+    """The sums of products fn's triangle code makes: "int" for
+    ``_isum``, "dot" for ``dot``."""
+    seen = set()
+    with ExitStack() as stack:
+        for name, route in (("_isum", "int"), ("dot", "dot")):
+            real = getattr(triangles, name)
+            stack.enter_context(patch.object(
+                triangles, name,
+                lambda xs, ys, real=real, route=route: seen.add(route) or real(xs, ys)))
+        outcome(fn)
+    return seen
+
+
+def dot_route(fn):
+    """fn() with the integer route off: ``_ints`` finds no integers."""
+    with patch.object(triangles, "_ints", lambda rows: None):
+        return outcome(fn)
+
+
+def all_ints(rows):
+    return all(v.den == (1,) and len(v.num) < 2 for row in rows for v in row)
+
+
+_big_ints = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**30, 10**30))
+# an entry that leaves the integer route: a rational constant or one in r
+_SPOILS = (lambda v: fe(Fraction(2 * v + 1, 2)), lambda v: R + v)
+
+
+@st.composite
+def spoiled(draw, entries, positions):
+    """entries, one of them made rational or r-dependent half the time."""
+    if positions and draw(st.booleans()):
+        i, j = draw(st.sampled_from(positions))
+        entries[i][j] = draw(st.sampled_from(_SPOILS))(entries[i][j])
+    return entries
+
+
+@st.composite
+def integer_triangles(draw):
+    n = draw(st.integers(0, 30))
+    diag = draw(st.sampled_from([st.sampled_from([1, -1]), _big_ints]))
+    rows = [[draw(_big_ints) for _ in range(i)] + [draw(diag)] for i in range(n)]
+    return Triangle(draw(spoiled(rows, [(i, j) for i in range(n) for j in range(i + 1)])))
+
+
+@st.composite
+def integer_riordan_pairs(draw):
+    rows = draw(st.integers(0, 30))
+    prec = max(rows, 2)
+    g0 = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)).filter(bool)
+    g = [draw(g0)] + [draw(_big_ints) for _ in range(prec - 1)]
+    f = [0] + [draw(_big_ints) for _ in range(prec - 1)]
+    g, f = draw(spoiled([g, f], [(0, n) for n in range(rows)]
+                        + [(1, n) for n in range(1, rows)]))
+    return RiordanArray(Series(g), Series(f)), rows
+
+
+UNIT = Triangle([[1], [-7, -1], [10**30, 0, 1]])
+NON_UNIT = triangle_from_gf(from_ratfun([1], [1, -(2 * R + 1)], 5), 5)  # 2^k C(n,k)
+ONE_RATIONAL = Triangle([[1], [-7, -1], [10**30, fe(Fraction(1, 2)), 1]])
+ONE_IN_R = Triangle([[1], [-7, R], [10**30, 0, 1]])
+ZERO_DIAGONAL = Triangle([[1], [-7, -1], [10**30, 5, 0]])
+
+
+class TestIntegerRoute:
+    """The integer route of matmul, tri_inverse and riordan_to_triangle
+    gives what the dot route gives, and takes only integer entries."""
+
+    @given(st.tuples(integer_triangles(), integer_triangles()))
+    @settings(max_examples=40, deadline=None)
+    @example((Triangle([[-1]]), Triangle([[10**30]])))      # one row
+    @example((UNIT, NON_UNIT))                              # a non-unit diagonal
+    @example((ONE_RATIONAL, UNIT))                          # one rational entry
+    @example((UNIT, ONE_IN_R))                              # one entry in r
+    @example((UNIT, ZERO_DIAGONAL))                         # a zero diagonal
+    def test_matmul_and_inverse_match_the_dot_route(self, pair):
+        A, B = pair
+        n = min(A.n_rows, B.n_rows)
+        got = matmul(A, B)
+        assert got == dot_route(lambda: matmul(A, B))
+        on_ints = all_ints(A.rows[:n]) and all_ints(B.rows[:n])
+        assert routes(lambda: matmul(A, B)) <= {"int" if on_ints else "dot"}
+        if on_ints:
+            assert tri_ints(got) == matmul_by_fractions(A, B)
+
+        inv = outcome(lambda: tri_inverse(B))
+        assert inv == dot_route(lambda: tri_inverse(B))
+        unit = all_ints(B.rows) and all(row[i] in (1, -1) for i, row in enumerate(tri_ints(B)))
+        assert routes(lambda: tri_inverse(B)) <= {"int" if unit else "dot"}
+        if not isinstance(inv, Triangle):
+            assert inv[0] is SingularDiagonal
+        elif all(v.is_constant() for row in B.rows for v in row):
+            assert matmul_by_fractions(B, inv) == tri_ints(identity_triangle(B.n_rows))
+
+    def test_route_examples(self):
+        assert routes(lambda: tri_inverse(UNIT)) == {"int"}
+        assert routes(lambda: tri_inverse(NON_UNIT)) == {"dot"}
+        assert tri_ints(tri_inverse(NON_UNIT))[1] == [Fraction(-1, 2), Fraction(1, 2)]
+        assert routes(lambda: matmul(ONE_RATIONAL, UNIT)) == {"dot"}
+        assert routes(lambda: matmul(UNIT, ONE_IN_R)) == {"dot"}
+        with pytest.raises(SingularDiagonal, match=r"^zero diagonal entry in row 2$"):
+            tri_inverse(ZERO_DIAGONAL)
+
+    @given(integer_riordan_pairs())
+    @settings(max_examples=40, deadline=None)
+    @example((RiordanArray(Series([5, 0]), Series([0, 1])), 1))       # one row
+    # (1/(1-x), x/(1-x)) with one rational coefficient, and with one in r
+    @example((RiordanArray(Series([1, 1, fe(Fraction(1, 2)), 1]), Series([0, 1, 1, 1])), 4))
+    @example((RiordanArray(Series([1, 1, 1, 1]), Series([0, 1, R, 1])), 4))
+    def test_riordan_matches_the_dot_route(self, case):
+        Rarr, rows = case
+        entries = (Rarr.g.coeffs[:rows], Rarr.f.coeffs[:rows])
+        for exponential in (False, True):
+            got = riordan_to_triangle(Rarr, rows, exponential)
+            assert got == dot_route(lambda: riordan_to_triangle(Rarr, rows, exponential))
+            assert routes(lambda: riordan_to_triangle(Rarr, rows, exponential)) <= \
+                {"int" if all_ints(entries) else "dot"}
+            if all(v.is_constant() for col in entries for v in col):
+                assert tri_ints(got) == riordan_by_fractions(Rarr, rows, exponential)
+
+    def test_exponential_scale(self):
+        # [1/(1-x), x/(1-x)]: entry (n, k) is C(n, k) n!/k!
+        Rarr = RiordanArray(Series([1] * 6), Series([0] + [1] * 5))
+        assert routes(lambda: riordan_to_triangle(Rarr, 6, True)) == {"int"}
+        assert tri_ints(riordan_to_triangle(Rarr, 6, True))[5] == [120, 600, 600, 200, 25, 1]

@@ -81,6 +81,18 @@ EDGE_CASES = [
     ["eval", "matmul(Bmat(6),riordan(1/(1-(1/2)*x),x/(1-(1/2)*x),6))"],
     ["eval", "eriordan(1/(1-x),x/(1-x),6)"],
     ["eval", "inv(Bmat(1))"],
+    # the evaluator's arithmetic at its boundaries: a call under an
+    # operator, a zero divisor in Q(r) and in a series, precision 0
+    ["eval", "oracle(N1,3,1)+1", "--order", "3"],
+    ["eval", "x*oracle(N1,3,1)", "--order", "3"],
+    ["eval", "sumudu(3)*x", "--order", "3"],
+    ["eval", "(r-1)^0", "--order", "3"],
+    ["eval", "x/(r-r)"],
+    ["eval", "1/(sumudu(1)-1)"],
+    ["eval", "(1/0)^2"],
+    ["eval", "contract(1+1)"],
+    ["eval", "integ(2*r)", "--order", "1"],
+    ["eval", "tinv(oracle(N1,2,1)*r,1,1,3)"],
     # the fixture list in the formats besides the table
     ["fixtures", "--list", "--format", "csv"],
     ["fixtures", "--list", "--format", "json"],

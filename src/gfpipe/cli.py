@@ -28,7 +28,8 @@ from .formats import format_value
 
 def _parse_set(text: str) -> Fraction:
     name, _, value = text.partition("=")
-    if name.strip() != "r" or not value:
+    # no exponent: Fraction would expand r=1e999999999 digit by digit
+    if name.strip() != "r" or not value or "e" in value.lower():
         raise argparse.ArgumentTypeError("expected r=p/q")
     try:
         return Fraction(value.strip())

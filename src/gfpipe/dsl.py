@@ -14,7 +14,10 @@ meaningful as an argument (triangle modes, oracle names).
 Evaluation is demand-driven: every builtin knows how much precision it
 needs from its children to deliver the requested order, so a top-level
 series result carries exactly ``order`` exact coefficients no matter how
-many precision-losing steps the expression chains together.
+many precision-losing steps the expression chains together.  Arithmetic
+with no x and no call under it is an element of Q(r), not a series: one
+method, ``_Evaluator.term``, evaluates numbers, names and operators for
+whole expressions and scalar arguments alike.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ MAX_INT_EXPONENT = 64
 # chain such as 1+x+x^2 adds a level) at MAX_DEPTH.
 MAX_NESTING = 100
 MAX_DEPTH = 250
-_VALUE_NAMES = ("x", "r")  # read by the parser, the evaluator and _name
+_VALUE_NAMES = ("x", "r")  # read by the parser and _name; term gives their values
 
 
 # -- AST --------------------------------------------------------------------
@@ -341,15 +344,14 @@ class _Evaluator:
         return v.truncate(p) if v.prec > p else v
 
     def scalar(self, node: Node) -> FieldElem:
-        """The element of Q(r) an x-free ``node`` stands for, with the value
-        and diagnostics of ``value(node, 1)``: a call's, or else ``_q``'s."""
+        """The element of Q(r) an x-free ``node`` stands for: a call's
+        ``value(node, 1)``, or else its ``term``, read at its constant
+        term when a call under it makes it a series."""
         if _contains_x(node):
             raise TypeErrorValue(
                 "expected a scalar (no x allowed here)", node.start, node.end
             )
-        if node.__class__ is not Call:
-            return self._q(node)
-        v = self.value(node, 1)
+        v = self.value(node, 1) if node.__class__ is Call else self.term(node, 1)
         if isinstance(v, Series):
             return v.coeffs[0]
         if isinstance(v, FieldElem):
@@ -358,65 +360,60 @@ class _Evaluator:
             f"expected a scalar, got {kind_name(v)}", node.start, node.end
         )
 
-    def _q(self, node: Node) -> FieldElem:
-        """``scalar`` past its x check.  A call, a name but r, a list, an
-        exponent over the cap or a zero divisor is read as ``value`` reads
-        an operand, which gives its value or its diagnostic."""
-        cls = node.__class__
-        if cls is Num:
-            return fe(node.value)
-        if cls is Bin:
-            a, b = self._q(node.left), self._q(node.right)
-            if node.op != "/" or not b.is_zero():
-                return _OPS[node.op](a, b)
-        elif cls is Pow and 0 <= node.exponent <= MAX_INT_EXPONENT:
-            return self._q(node.base) ** node.exponent
-        elif cls is Name and node.ident == "r":
-            return R
-        return self.series(node, 1).coeffs[0]
-
     # generic -------------------------------------------------------------
 
     def value(self, node: Node, p: int) -> Value:
-        if isinstance(node, Num):
-            return Series.constant(node.value, p)
-        if isinstance(node, Name):
-            if node.ident not in _VALUE_NAMES:
-                raise TypeErrorValue(
-                    f"unknown identifier {node.ident!r}", node.start, node.end
-                )
-            if node.ident == "x":
-                return Series.x(p)
-            return Series.constant(R, p)
-        if isinstance(node, ListLit):
-            raise TypeErrorValue(
-                "a list is not a value by itself", node.start, node.end
-            )
-        if isinstance(node, Pow):
-            if abs(node.exponent) > MAX_INT_EXPONENT:
-                raise TypeErrorValue(
-                    f"integer exponents are capped at {MAX_INT_EXPONENT}",
-                    node.start,
-                    node.end,
-                )
-            base = self.series(node.base, p)
-            return base ** node.exponent
-        if isinstance(node, Bin):
-            a = self.series(node.left, p)
-            b = self.series(node.right, p)
-            if (node.op == "/" and b.prec and b.coeffs[0].is_zero()
-                    and not _contains_x(node.right)):
-                raise ZeroDivisionError(
-                    f"scalar division by zero (divisor {pretty(node.right)})"
-                )
-            return _OPS[node.op](a, b)
-        if isinstance(node, Call):
+        if node.__class__ is Call:
             handler = _BUILTINS.get(node.name)
             if handler is None:
                 raise TypeErrorValue(
                     f"unknown function {node.name!r}", node.start, node.end
                 )
             return handler(self, node, p)
+        v = self.term(node, p)
+        return Series.constant(v, p) if v.__class__ is FieldElem else v
+
+    def term(self, node: Node, p: int):
+        """The arithmetic of a node: its element of Q(r) when no x and no
+        call is under it, else its series at precision ``p``.  A call
+        operand is read through ``series``; at precision 0 a quotient is
+        the empty series, of which nothing is known."""
+        cls = node.__class__
+        if cls is Num:
+            return fe(node.value)
+        if cls is Name:
+            if node.ident == "r":
+                return R
+            if node.ident == "x":
+                return Series.x(p)
+            raise TypeErrorValue(
+                f"unknown identifier {node.ident!r}", node.start, node.end
+            )
+        if cls is Pow:
+            if abs(node.exponent) > MAX_INT_EXPONENT:
+                raise TypeErrorValue(
+                    f"integer exponents are capped at {MAX_INT_EXPONENT}",
+                    node.start,
+                    node.end,
+                )
+            return self.term(node.base, p) ** node.exponent
+        if cls is Bin:
+            a, b = self.term(node.left, p), self.term(node.right, p)
+            if node.op == "/":
+                if not p:
+                    return Series([])
+                b0 = b if b.__class__ is FieldElem else b.coeffs[0]
+                if b0.is_zero() and not _contains_x(node.right):
+                    raise ZeroDivisionError(
+                        f"scalar division by zero (divisor {pretty(node.right)})"
+                    )
+            return _OPS[node.op](a, b)
+        if cls is Call:
+            return self.series(node, p)
+        if cls is ListLit:
+            raise TypeErrorValue(
+                "a list is not a value by itself", node.start, node.end
+            )
         raise TypeErrorValue("cannot evaluate this node", node.start, node.end)
 
 

@@ -182,11 +182,13 @@ def istr(n: int) -> str:
 
 
 def iparse(s: str) -> int:
-    """The int whose decimal text is s, however long; the inverse of istr."""
+    """The int whose decimal text is s, however long; the inverse of istr.
+    Past int()'s limit only one optional '-' and ASCII digits are read."""
     try:
         return int(s)
     except ValueError:
-        if not s.lstrip("-").isdecimal():
+        digits = s[1:] if s[:1] == "-" else s
+        if not (digits.isascii() and digits.isdecimal()):
             raise
         return int(Decimal(s))
 

@@ -99,25 +99,15 @@ class Series:
         return _as_series(other, self.prec) + (-self)
 
     def __mul__(self, other):
-        """Scalar multiple, or the Cauchy product to the shared precision:
-        each coefficient is one ``dot`` of a prefix of self against the
-        reversed prefix of other, so it is normalised once.  When either
-        factor is a constant to that precision, the product is the other
-        factor scaled by it, one field product per coefficient, or the
-        other factor itself when the constant is 1."""
+        """Scalar multiple, one field product per coefficient, or self
+        itself for the scalar 1; else the Cauchy product to the shared
+        precision: each coefficient is one ``dot`` of a prefix of self
+        against the reversed prefix of other, so it is normalised once."""
         if isinstance(other, (int, Fraction, FieldElem)):
             k = fe(other)
             return self if k.is_one() else Series([c * k for c in self.coeffs])
         n = min(self.prec, other.prec)
         a, b = self.coeffs, other.coeffs
-        if not any(c.num for c in b[1:n]):
-            if n and b[0].is_one():
-                return self.truncate(n)
-            return Series([c * b[0] for c in a[:n]])
-        if not any(c.num for c in a[1:n]):
-            if a[0].is_one():
-                return other.truncate(n)
-            return Series([a[0] * c for c in b[:n]])
         return Series([dot(a[: k + 1], b[k::-1]) for k in range(n)])
 
     __rmul__ = __mul__

@@ -41,6 +41,18 @@ class TestEval:
         assert code == 0
         assert out.strip() == "1, 2, 10, 74, 730, 9002"
 
+    @pytest.mark.parametrize("value", ["1e100000", "1E5"])
+    def test_set_refuses_an_exponent(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "eval", "r", "--set", f"r={value}")
+        assert exc.value.code == 2
+        assert "expected r=p/q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,shown", [("0.5", "1/2"), ("-3/4", "-3/4")])
+    def test_set_reads_a_decimal_or_a_fraction(self, capsys, value, shown):
+        code, out, _ = run(capsys, "eval", "r", "--order", "1", "--set", f"r={value}")
+        assert (code, out.strip()) == (0, shown)
+
     def test_parse_error_exit_2(self, capsys):
         code, out, err = run(capsys, "eval", "1/(1-x")
         assert code == 2

@@ -11,6 +11,7 @@ from gfpipe.cfrac import JFraction, SFraction
 from gfpipe.dsl import (
     BUILTIN_NAMES,
     MAX_DEPTH,
+    MAX_INT_EXPONENT,
     MAX_NESTING,
     Bin,
     Call,
@@ -487,14 +488,16 @@ def test_each_node_spans_a_text_that_parses_to_it(text):
     assert parse(pretty(tree)) == tree
 
 
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _fraction(node):
     """The rational value of an x-free integer tree, read off its shape."""
     if isinstance(node, Num):
         return Fraction(node.value)
     if isinstance(node, Pow):
         return _fraction(node.base) ** node.exponent
-    op = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-    return op[node.op](_fraction(node.left), _fraction(node.right))
+    return OPERATORS[node.op](_fraction(node.left), _fraction(node.right))
 
 
 @given(arithmetic(4, DIGITS))
@@ -523,12 +526,38 @@ def _outcome(read):
         return type(err), str(err), getattr(err, "start", None), getattr(err, "end", None)
 
 
-class _SeriesScalars(_Evaluator):
-    """The evaluator with ``scalar`` read off a one-term series, the route
-    that ``_q`` replaces; kept as its oracle."""
+def _has_x(node):
+    return any(isinstance(n, Name) and n.ident == "x" for n in _nodes(node))
+
+
+class _SeriesRoute(_Evaluator):
+    """The evaluator with every number and r a constant series, ^ and
+    + - * / applied to series operands, and a scalar read off the one-term
+    series ``value(node, 1)``: the route that ``term``'s arithmetic in Q(r)
+    replaces, kept as its oracle."""
+
+    def term(self, node, p):
+        if isinstance(node, Num):
+            return Series.constant(node.value, p)
+        if isinstance(node, Name) and node.ident == "r":
+            return Series.constant(R, p)
+        if isinstance(node, Pow):
+            if abs(node.exponent) > MAX_INT_EXPONENT:
+                raise TypeErrorValue(
+                    f"integer exponents are capped at {MAX_INT_EXPONENT}",
+                    node.start, node.end)
+            return self.series(node.base, p) ** node.exponent
+        if isinstance(node, Bin):
+            a, b = self.series(node.left, p), self.series(node.right, p)
+            if (node.op == "/" and b.prec and b.coeffs[0].is_zero()
+                    and not _has_x(node.right)):
+                raise ZeroDivisionError(
+                    f"scalar division by zero (divisor {pretty(node.right)})")
+            return OPERATORS[node.op](a, b)
+        return super().term(node, p)  # x, another name, a call or a list
 
     def scalar(self, node):
-        if any(isinstance(n, Name) and n.ident == "x" for n in _nodes(node)):
+        if _has_x(node):
             raise TypeErrorValue(
                 "expected a scalar (no x allowed here)", node.start, node.end)
         v = self.value(node, 1)
@@ -550,18 +579,21 @@ SCALAR_LEAVES = st.one_of(INTEGERS, st.sampled_from(["r", "r", "0", "y", "z"]))
 @example("(0-1/2)^3")
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_literal_scalars_are_the_constant_term_of_their_series(text):
-    node = parse(text)
-    ev = _Evaluator(Env(order=3))
-    assert _outcome(lambda: ev.scalar(node)) == _outcome(lambda: ev.value(node, 1).coeffs[0])
+    node, env = parse(text), Env(order=3)
+    assert _outcome(lambda: _Evaluator(env).scalar(node)) == \
+        _outcome(lambda: _SeriesRoute(env).scalar(node))
 
 
 SCALAR_SLOTS = ["jfrac([{}],[])", "sfrac([1,{}])", "tinv({},1,1,3)", "powq(1+x,{})",
                 "invert(1/(1-x),{})", "deleham([1,{}],[1],2)", "matrix([[{}]])",
                 "matvec(matrix([[1]]),[{}])"]
+# a builtin with one argument slot filled by x-free arithmetic, or by
+# arithmetic that holds x or a call
+SLOT_TEXTS = st.builds(str.format, st.sampled_from(SCALAR_SLOTS), arithmetic(
+    3, st.one_of(SCALAR_LEAVES, st.sampled_from(["x", "oracle(N1,2,1)", "jfrac([1],[1])"]))))
 
 
-@given(st.builds(str.format, st.sampled_from(SCALAR_SLOTS), arithmetic(
-    3, st.one_of(SCALAR_LEAVES, st.sampled_from(["x", "oracle(N1,2,1)", "jfrac([1],[1])"])))))
+@given(SLOT_TEXTS)
 @example("tinv(1/0,1,1,3)")
 @example("jfrac([1/(r-r)],[])")
 @example("Bmat(2^3)")
@@ -571,11 +603,41 @@ SCALAR_SLOTS = ["jfrac([{}],[])", "sfrac([1,{}])", "tinv({},1,1,3)", "powq(1+x,{
 @example("deleham([r^65],[1],2)")
 @example("tinv(oracle(N1,2,1),1,1,3)")  # a call: value(node, 1)
 @example("tinv(jfrac([1],[1])+1,1,1,3)")  # a call as an operand: its series
+@example("tinv(oracle(N1,2,1)*r,1,1,3)")
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_builtins_read_scalars_as_the_series_route_does(text):
     node, env = parse(text), Env(order=3)
     assert _outcome(lambda: _Evaluator(env).value(node, 3)) == \
-        _outcome(lambda: _SeriesScalars(env).value(node, 3))
+        _outcome(lambda: _SeriesRoute(env).value(node, 3))
+
+
+def test_values_are_those_of_the_series_route():
+    # every kind, precision and diagnostic at orders 1 to 6; at least
+    # 1,000 of the 1,848 (text, order) pairs must give a value
+    compared = 0
+
+    @given(st.one_of(well_sorted("series", 3), SLOT_TEXTS))
+    @example("oracle(N1,3,1)+1")
+    @example("x*oracle(N1,3,1)")
+    @example("sumudu(3)*x")
+    @example("(r-1)^0")
+    @example("x/(r-r)")
+    @example("1/(sumudu(1)-1)")
+    @example("x+1/(x-x)")
+    @example("integ(1/0)")  # 1/0 read at precision 0
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def check(text):
+        nonlocal compared
+        node = parse(text)
+        for p in range(1, 7):
+            env = Env(order=p)
+            got = _outcome(lambda: _Evaluator(env).value(node, p))
+            assert got == _outcome(lambda: _SeriesRoute(env).value(node, p)), (text, p)
+            compared += not isinstance(got, tuple)
+
+    check()
+    assert compared >= 1000
 
 
 # every builtin with a series value; matvec's vector sets its length
@@ -667,6 +729,7 @@ class TestFormats:
         ('{"kind":"series"}', "KeyError"),
         ("[1]", "TypeError"),
         ('{"kind":"series","order":1,"entries":[[null]]}', "TypeError"),
+        ('{"kind":"fieldelem","entries":["--5"]}', "invalid literal for int"),
         ('{"kind":"series","order":1,"entries":[{"num":["1"],"den":["0"]}]}',
          "ZeroDivisionError"),
         ('{"kind":"nope","entries":[]}', "unknown value kind"),

@@ -43,7 +43,7 @@ from math import lcm
 from typing import Sequence, Tuple
 
 from .errors import DegenerateCfrac, InsufficientDepth, NonUnitConstantTerm, PatternMismatch
-from .ratfun import ONE, ZERO, R, FieldElem, _make, _qnorm, dot, fe
+from .ratfun import ONE, ZERO, R, FieldElem, _qnorm, dot, fe
 from .record import Record
 from .series import Series, divide
 from .triangles import triangle_from_gf
@@ -95,7 +95,7 @@ def _tableau(b: Sequence, lam: Sequence, depth: int, prec: int) -> Series:
         row = [s * prev[k] + bk * prev[k + 1] + lk * prev[k + 2]
                for k, (bk, lk) in zip(range(top + 1), steps)]
         sn *= s
-        out.append(_make(*_qnorm(row[0], sn)))
+        out.append(_qnorm(row[0], sn))
     return Series(out)
 
 

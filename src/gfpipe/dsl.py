@@ -376,8 +376,10 @@ class _Evaluator:
     def term(self, node: Node, p: int):
         """The arithmetic of a node: its element of Q(r) when no x and no
         call is under it, else its series at precision ``p``.  A call
-        operand is read through ``series``; at precision 0 a quotient is
-        the empty series, of which nothing is known."""
+        operand is read through ``series``.  A zero divisor in Q(r) is
+        reported at every precision, 0 included; a series divisor read at
+        precision 0 has no known constant term, and the quotient is the
+        empty series."""
         cls = node.__class__
         if cls is Num:
             return fe(node.value)
@@ -399,9 +401,7 @@ class _Evaluator:
             return self.term(node.base, p) ** node.exponent
         if cls is Bin:
             a, b = self.term(node.left, p), self.term(node.right, p)
-            if node.op == "/":
-                if not p:
-                    return Series([])
+            if node.op == "/" and (b.__class__ is FieldElem or b.prec):
                 b0 = b if b.__class__ is FieldElem else b.coeffs[0]
                 if b0.is_zero() and not _contains_x(node.right):
                     raise ZeroDivisionError(

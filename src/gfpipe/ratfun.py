@@ -17,23 +17,26 @@ numerator's coefficients; otherwise it divides out the polynomial gcd
 ``pgcd`` and fixes the sign.  ``pgcd`` itself answers with the gcd of the
 contents as soon as either argument is a constant.  Most values met in
 practice are rational constants (num and den of length at most one), so
-sums and products of two constants skip to ``_qnorm``, the gcd of two
-ints.  The normal form is the same on every path.
+sums and products of two constants skip to ``_qnorm``, which takes the gcd
+of two ints and returns the ``FieldElem``.  The normal form is the same on
+every path.
 
-Every sum of products in the engine (series products and quotients, the
-exp recurrence, triangle and matrix products) goes through one kernel,
-``dot``.  It brings the products over the lcm of their denominators, adds
-the numerators in place in Z[r], and runs the normal form once on the
-sum, instead of once per partial sum as ``s = s + a * b`` does.  It makes
-one walk over its operands, which skips zero terms and adds each product
-of two rational constants at once to a running integer sum over the lcm
-of those terms' denominators.  It notes every other term's numerators and
-integer product denominator, with their lcm and the length of the sum; a
-polynomial denominator met on the way hands the sum to the lcm in Z[r].
-A sum of constants ends in one ``_qnorm``; otherwise the constant sum
-joins the Z[r] sum over the common lcm, which ends in ``_norm``.  Since
-the normal form is unique, ``dot`` returns exactly what the left fold
-returns.  Every integer power goes through one loop, ``power``.
+Every sum of products of ``FieldElem``s (series products and quotients,
+the exp recurrence, triangle and matrix products over Q(r)) goes through
+one kernel, ``dot``; sums of rational constants in ``cfrac._tableau`` and
+of integers in ``triangles._isum`` run in Python ints.  ``dot`` brings the
+products over the lcm of their denominators, adds the numerators in place
+in Z[r], and runs the normal form once on the sum, instead of once per
+partial sum as ``s = s + a * b`` does.  It makes one walk over its
+operands, which skips zero terms and adds each product of two rational
+constants at once to a running integer sum over the lcm of those terms'
+denominators.  It notes every other term's numerators and integer product
+denominator, with their lcm and the length of the sum; a polynomial
+denominator met on the way hands the sum to the lcm in Z[r].  A sum of
+constants ends in one ``_qnorm``; otherwise the constant sum joins the
+Z[r] sum over the common lcm, which ends in ``_norm``.  Since the normal
+form is unique, ``dot`` returns exactly what the left fold returns.  Every
+integer power goes through one loop, ``power``.
 """
 
 from __future__ import annotations
@@ -215,14 +218,6 @@ def pstr(a: Poly) -> str:
     return " ".join(parts)
 
 
-def _qnorm(n: int, d: int) -> tuple:
-    """Normal form (num, den) of the constant n/d, d != 0."""
-    g = _igcd(n, d)
-    if d < 0:
-        g = -g
-    return ((n // g,) if n else PZERO), (d // g,)
-
-
 def _norm(num: Poly, den: Poly) -> tuple:
     """Normal form (num, den) of num/den; both trimmed, den nonzero."""
     if len(den) == 1:
@@ -249,6 +244,12 @@ def _make(num: Poly, den: Poly) -> "FieldElem":
     out = object.__new__(FieldElem)
     out.num, out.den = num, den
     return out
+
+
+def _qnorm(n: int, d: int) -> "FieldElem":
+    """The constant n/d in normal form, for d > 0 (no sign fix)."""
+    g = _igcd(n, d)
+    return _make((n // g,) if n else PZERO, (d // g,))
 
 
 class FieldElem:
@@ -285,7 +286,7 @@ class FieldElem:
         a, b, c, d = self.num, self.den, other.num, other.den
         if len(a) <= 1 and len(b) == 1 and len(c) <= 1 and len(d) == 1:
             n = (a[0] * d[0] if a else 0) + (c[0] * b[0] if c else 0)
-            return _make(*_qnorm(n, b[0] * d[0]))
+            return _qnorm(n, b[0] * d[0])
         if b == d:
             return FieldElem(padd(a, c), b)
         return FieldElem(padd(pmul(a, d), pmul(c, b)), pmul(b, d))
@@ -314,7 +315,7 @@ class FieldElem:
             return ZERO
         a, b, c, d = self.num, self.den, other.num, other.den
         if len(a) == 1 and len(b) == 1 and len(c) == 1 and len(d) == 1:
-            return _make(*_qnorm(a[0] * c[0], b[0] * d[0]))
+            return _qnorm(a[0] * c[0], b[0] * d[0])
         # cross-cancel; b, d and pgcd have positive leads, so no sign fix
         g1 = pgcd(a, d) if d != PONE and a != PONE else PONE
         g2 = pgcd(c, b) if b != PONE and c != PONE else PONE
@@ -427,7 +428,7 @@ def dot(xs, ys) -> FieldElem:
             width = w
         terms.append((a, c, pd) if len(c) <= len(a) else (c, a, pd))
     if not terms:
-        return _make(*_qnorm(n, nd))
+        return _qnorm(n, nd)
     acc = [0] * (width - 1)
     if n:
         if d % nd:

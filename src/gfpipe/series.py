@@ -114,8 +114,7 @@ class Series:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
-            k = fe(other)
-            return Series([c / k for c in self.coeffs])
+            return self * fe(other).inverse()
         return divide(self, other)
 
     def __rtruediv__(self, other):

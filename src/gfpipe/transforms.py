@@ -15,7 +15,9 @@ g_tilde = exp(x - Rev(integral of F)).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
+from operator import mul, truediv
 
 from .errors import PipelinePrecondition
 from .ratfun import dot, fe
@@ -32,26 +34,20 @@ class PipelineTrace(Record):
     __slots__ = ("g_tilde", "h", "q", "u", "F")
 
 
+def _factorial_scale(g: Series, op) -> Series:
+    """op(c_n, n!) for each coefficient c_n: both Sumudu directions."""
+    facts = accumulate(range(1, g.prec), mul, initial=1)
+    return Series([c if f == 1 else op(c, f) for c, f in zip(g.coeffs, facts)])
+
+
 def inverse_sumudu(g: Series) -> Series:
     """Divide coefficient n by n!: same sequence, read as an egf."""
-    out = []
-    f = 1
-    for n, c in enumerate(g.coeffs):
-        if n:
-            f *= n
-        out.append(c / f if f != 1 else c)
-    return Series(out)
+    return _factorial_scale(g, truediv)
 
 
 def sumudu(f: Series) -> Series:
     """Multiply coefficient n by n!: same sequence, read as an ogf."""
-    out = []
-    k = 1
-    for n, c in enumerate(f.coeffs):
-        if n:
-            k *= n
-        out.append(c * k if k != 1 else c)
-    return Series(out)
+    return _factorial_scale(f, mul)
 
 
 def invert_transform(g: Series, c) -> Series:

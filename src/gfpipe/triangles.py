@@ -34,7 +34,7 @@ from .errors import (
 )
 from .ratfun import ONE, PONE, ZERO, FieldElem, dot, fe
 from .record import Record
-from .series import Series, divide
+from .series import Series
 
 
 class Triangle(Record):
@@ -257,8 +257,8 @@ def production_matrix(Rarr: RiordanArray, size: int) -> SquareMatrix:
     """
     g, f = Rarr.g, Rarr.f
     fbar = f.revert()
-    A = divide(Series.one(fbar.prec - 1), fbar.derivative())
-    Z = divide(g.derivative(), g).compose(fbar)
+    A = 1 / fbar.derivative()
+    Z = g.log_derivative().compose(fbar)
     if A.prec < size + 1 or Z.prec < size:
         raise ValueError("Riordan pair not expanded far enough for this size")
 

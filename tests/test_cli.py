@@ -172,6 +172,23 @@ class TestRobustness:
         assert code == 1 and out == ""
         assert "scalar division by zero" in err
 
+    @pytest.mark.parametrize("expr,divisor", [("integ(1/0)", "0"),
+                                              ("integ(1/(r-r))", "r-r")])
+    def test_scalar_zero_divisor_is_reported_at_precision_0(self, capsys, expr, divisor):
+        # integ reads its argument one order less, so at --order 1 at 0
+        code, out, err = run(capsys, "eval", expr, "--order", "1")
+        assert (code, out, err) == (
+            1, "", f"error: scalar division by zero (divisor {divisor})\n")
+
+    def test_series_divisor_at_precision_0_gives_the_empty_quotient(self, capsys):
+        # a call under the divisor: nothing of it is known at precision 0
+        code, out, err = run(capsys, "eval", "integ(1/(sumudu(1)-1))", "--order", "1")
+        assert (code, out.strip(), err) == (0, "0", "")
+
+    def test_tfwd_names_the_weight_off_the_quadratic_pattern(self, capsys):
+        code, out, err = run(capsys, "eval", "tfwd(jfrac([1,2,3],[1,5]))")
+        assert (code, out, err) == (1, "", "error: weight 2 is 5, expected 4\n")
+
     def test_series_division_keeps_its_message(self, capsys):
         code, out, err = run(capsys, "eval", "1/x", "--order", "3")
         assert code == 1

@@ -549,10 +549,14 @@ class _SeriesRoute(_Evaluator):
             return self.series(node.base, p) ** node.exponent
         if isinstance(node, Bin):
             a, b = self.series(node.left, p), self.series(node.right, p)
-            if (node.op == "/" and b.prec and b.coeffs[0].is_zero()
-                    and not _has_x(node.right)):
-                raise ZeroDivisionError(
-                    f"scalar division by zero (divisor {pretty(node.right)})")
+            if node.op == "/" and not _has_x(node.right):
+                # at precision 0 a divisor with no call under it is read at
+                # precision 1, so its zero is reported at every precision
+                d = b if p or any(isinstance(n, Call) for n in _nodes(node.right)) \
+                    else self.series(node.right, 1)
+                if d.prec and d.coeffs[0].is_zero():
+                    raise ZeroDivisionError(
+                        f"scalar division by zero (divisor {pretty(node.right)})")
             return OPERATORS[node.op](a, b)
         return super().term(node, p)  # x, another name, a call or a list
 

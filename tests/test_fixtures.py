@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from gfpipe.fixtures import (
     run_fixture,
     run_fixtures,
 )
+from gfpipe.series import Series
 
 
 def test_every_fixture_passes():
@@ -126,6 +128,16 @@ def test_duplicate_id_check_survives_optimize_flag():
 def test_expected_data_decodes_for_all():
     for fx in all_fixtures():
         decode_expected(fx)
+
+
+def test_a_string_entry_decodes_to_its_constant():
+    # expected data may write a rational constant as "p/q"
+    fx = _fixture("fubini-pipeline").replace(
+        id="adhoc", kind="series", build="(1-x/2)/(1-x)", expected=[1, "1/2", "1/2"])
+    assert decode_expected(fx) == Series([1, Fraction(1, 2), Fraction(1, 2)])
+    assert run_fixture(fx).passed
+    result = run_fixture(fx.replace(expected=[1, "1/2", "-1/2"]))
+    assert result.detail == "entry[2]: got 1/2, expected -1/2"
 
 
 def _fixture(fid):

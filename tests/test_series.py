@@ -70,6 +70,16 @@ class TestRingOps:
         with pytest.raises(NonUnitConstantTerm):
             S(1, 1) / S(0, 1)
 
+    def test_scalar_division_inverts_once(self):
+        f = S(2, 3, 4)
+        assert f / 1 is f
+        assert f / 2 == f * fe(Fraction(1, 2))
+        assert f / R == Series([fe(2) / R, fe(3) / R, fe(4) / R])
+        with pytest.raises(ZeroDivisionError, match="inverse of 0 in Q"):
+            Series([]) / 0
+        with pytest.raises(ZeroDivisionError):
+            f / ZERO
+
     def test_integer_power_by_squaring(self, monkeypatch):
         f = Series([fe(1), R, fe(Fraction(1, 2)), R * R - 1, fe(3)])
         acc = Series.one(f.prec)

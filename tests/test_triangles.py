@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfpipe import triangles
+from gfpipe.dsl import Env, evaluate, parse
 from gfpipe.errors import (
     IndexRange,
     NonPolynomialRow,
@@ -16,6 +17,7 @@ from gfpipe.errors import (
     SingularDiagonal,
     UnknownOracle,
 )
+from gfpipe.fixtures import all_fixtures
 from gfpipe.ratfun import ONE, R, ZERO, dot, fe
 from gfpipe.series import Series, divide, from_ratfun
 from gfpipe.transforms import sumudu
@@ -356,6 +358,46 @@ class TestProductionMatrixOneComposition:
         size = g.prec - 2
         P = production_matrix(RiordanArray(g, f), size)
         assert list(P.rows) == three_composition_prodmat(g, f, size)
+
+
+def prodmat_by_inverse(g, f, size):
+    """The production matrix as T^-1 T-bar: T the first size rows of the
+    exponential Riordan array, T-bar its rows 1 .. size cut to size columns."""
+    T = riordan_to_triangle(RiordanArray(g, f), size + 1, exponential=True)
+    inv = tri_inverse(Triangle(T.rows[:size])).rows
+    bar = [row[:size] + (ZERO,) * (size - len(row)) for row in T.rows[1:]]
+    return [tuple(dot(inv[i], [bar[k][j] for k in range(i + 1)]) for j in range(size))
+            for i in range(size)]
+
+
+def prodmat_fixture_pair(fid):
+    """(g, f, size) of a prodmat fixture's build, g and f to size + 2 terms."""
+    g, f, n = parse({fx.id: fx for fx in all_fixtures()}[fid].build).args
+    env = Env(order=n.value + 2)
+    return evaluate(g, env), evaluate(f, env), n.value
+
+
+@st.composite
+def exponential_pairs(draw):
+    """(g, f, size) over Q(r): g(0) != 0, f(0) = 0, f'(0) != 0, size 1 to 8,
+    both series to size + 2 terms."""
+    size = draw(st.integers(1, 8))
+    coeffs = st.lists(field_elems(max_deg=1), min_size=size, max_size=size)
+    g = Series([draw(nonzero_field_elems(max_deg=1)), *draw(coeffs),
+                draw(field_elems(max_deg=1))])
+    f = Series([ZERO, draw(nonzero_field_elems(max_deg=1)), *draw(coeffs)])
+    return g, f, size
+
+
+@given(exponential_pairs())
+@example(prodmat_fixture_pair("prodmat-ordered-bell"))
+@example(prodmat_fixture_pair("prodmat-galton"))
+@example(prodmat_fixture_pair("prodmat-etude3"))
+@settings(max_examples=25, deadline=None)
+def test_production_matrix_is_the_inverse_times_the_shifted_array(pair):
+    g, f, size = pair
+    P = production_matrix(RiordanArray(g, f), size)
+    assert list(P.rows) == prodmat_by_inverse(g, f, size)
 
 
 class TestRecurrence:

@@ -98,6 +98,12 @@ EDGE_CASES = [
     ["eval", "integ(1/0)", "--order", "1"],
     ["eval", "integ(1/(r-r))", "--order", "1"],
     ["eval", "integ(1/(sumudu(1)-1))", "--order", "1"],
+    # a fraction expansion read above the order, and under integ at order 1
+    # (read at the order: one coefficient, the empty fraction)
+    ["eval", "diff(tojfrac(exp(x)))", "--order", "4"],
+    ["eval", "P(tojfrac(1+x^2*exp(x)))", "--order", "5"],
+    ["eval", "triangle(tojfrac(exp(x)),6,egf)", "--order", "3"],
+    ["eval", "integ(tojfrac(exp(x)))", "--order", "1"],
     # the fixture list in the formats besides the table
     ["fixtures", "--list", "--format", "csv"],
     ["fixtures", "--list", "--format", "json"],

@@ -105,12 +105,10 @@ def cli_main(argv=None) -> int:
         if args.list_only:
             print(fixtures.render_list(args.format))
             return 0
-        known = {fx.id for fx in fixtures.all_fixtures()}
-        missing = [i for i in args.run or () if i not in known]
-        if missing:
-            args.subparser.error(f"unknown fixture ids: {', '.join(missing)}")
-        ids = args.run if args.run else None
-        cases = fixtures.run_fixtures(ids)
+        try:
+            cases = fixtures.run_fixtures(args.run or None)
+        except fixtures.UnknownFixture as exc:
+            args.subparser.error(str(exc))
         print(fixtures.render_report(cases, args.format))
         return 0 if all(c.passed for c in cases) else 1
 

@@ -422,9 +422,10 @@ class _Evaluator:
 # Every builtin is one row of _BUILTINS: the engine function and one reader
 # per argument.  A reader ``read(ev, arg, p)`` returns the value of the
 # argument node ``arg`` at precision ``p``, or raises its diagnostic.
-# Arguments are read left to right, except that a series sized by the count
-# (_Sized) is read after all the others, so the first fault found is the
-# one reported.
+# Arguments are read left to right, in one pass.  A series sized by the
+# count is read by _ser_at, which returns a function of the precision; the
+# row calls it with the count once every reader has run, so the first
+# fault found is the one reported.
 
 
 def _ser(ev, arg, p):
@@ -447,16 +448,16 @@ def _ser_rev(ev, arg, p):
     return ev.series(arg, p if p <= 2 else p - 1)
 
 
-def _ser_order(ev, arg, p):
-    """The top-level order, whatever the caller asks for."""
-    return ev.series(arg, ev.env.order)
+def _ser_full(ev, arg, p):
+    """At least the top-level order, for the fraction expansions: tfwd and
+    contract take the fraction whole, below whatever precision is read of
+    them, and more coefficients never change the first p."""
+    return ev.series(arg, max(p, ev.env.order))
 
 
-class _Sized:
-    """A series at precision ``rule(count)``, read after the other arguments."""
-
-    def __init__(self, rule):
-        self.rule = rule
+def _ser_at(ev, arg, p):
+    """The series at a precision the row computes from its count."""
+    return lambda q: ev.series(arg, q)
 
 
 def _scalar(ev, arg, p):
@@ -527,8 +528,10 @@ def _of(cls):
 
 
 def _builtin(fn, *readers, optional=0):
-    """The handler that checks the arity, reads the arguments and applies
-    ``fn``; the last ``optional`` arguments may be left to fn's defaults."""
+    """The handler that checks the arity, reads the arguments in one pass
+    and applies ``fn``; the last ``optional`` arguments may be left to fn's
+    defaults.  A series read by _ser_at reaches fn as a function of the
+    precision."""
     most = len(readers)
     least = most - optional
 
@@ -539,15 +542,7 @@ def _builtin(fn, *readers, optional=0):
             raise ArityError(
                 f"{node.name} expects {want}, got {k}", node.start, node.end
             )
-        args = [
-            None if isinstance(read, _Sized) else read(ev, arg, p)
-            for read, arg in zip(readers, node.args)
-        ]
-        for i, read in enumerate(readers[:k]):
-            if isinstance(read, _Sized):
-                n = args[readers.index(_count)]
-                args[i] = ev.series(node.args[i], read.rule(n))
-        return fn(*args)
+        return fn(*[read(ev, arg, p) for read, arg in zip(readers, node.args)])
 
     return handler
 
@@ -574,8 +569,8 @@ _BUILTINS = {
     "sinh": _builtin(lambda f: ((e := f.exp()) - 1 / e) / 2, _ser),
     "jfrac": _builtin(cfrac.JFraction, _scalars, _scalars),
     "sfrac": _builtin(cfrac.SFraction, _scalars),
-    "tojfrac": _builtin(cfrac.series_to_jfrac, _ser_order),
-    "tosfrac": _builtin(cfrac.series_to_sfrac, _ser_order),
+    "tojfrac": _builtin(cfrac.series_to_jfrac, _ser_full),
+    "tosfrac": _builtin(cfrac.series_to_sfrac, _ser_full),
     "contract": _builtin(cfrac.contract_s_to_j, _of(cfrac.SFraction)),
     "deleham": _builtin(cfrac.deleham, _scalars, _scalars, _count),
     "deleham1": _builtin(cfrac.deleham_delta1, _scalars, _scalars, _count),
@@ -583,8 +578,8 @@ _BUILTINS = {
     "tfwd": _builtin(cfrac.t_forward_image, _of(cfrac.JFraction)),
     "triangle": _builtin(  # the egf reading of a gf is its Sumudu transform
         lambda gf, n, mode="ogf": triangles.triangle_from_gf(
-            transforms.sumudu(gf) if mode == "egf" else gf, n),
-        _Sized(lambda n: n), _count, _mode, optional=1,
+            transforms.sumudu(gf(n)) if mode == "egf" else gf(n), n),
+        _ser_at, _count, _mode, optional=1,
     ),
     "reverse": _builtin(triangles.reversal, _of(triangles.Triangle)),
     "matmul": _builtin(
@@ -593,22 +588,23 @@ _BUILTINS = {
     "inv": _builtin(triangles.tri_inverse, _of(triangles.Triangle)),
     "Bmat": _builtin(triangles.binomial_matrix, _count),
     "riordan": _builtin(
-        lambda g, f, n: triangles.riordan_to_triangle(triangles.RiordanArray(g, f), n),
-        _Sized(lambda n: max(n, 2)), _Sized(lambda n: max(n, 2)), _count,
+        lambda g, f, n: triangles.riordan_to_triangle(
+            triangles.RiordanArray(g(max(n, 2)), f(max(n, 2))), n),
+        _ser_at, _ser_at, _count,
     ),
     "eriordan": _builtin(
         lambda g, f, n: triangles.riordan_to_triangle(
-            triangles.RiordanArray(g, f), n, exponential=True
-        ),
-        _Sized(lambda n: max(n, 2)), _Sized(lambda n: max(n, 2)), _count,
+            triangles.RiordanArray(g(max(n, 2)), f(max(n, 2))), n, exponential=True),
+        _ser_at, _ser_at, _count,
     ),
     "rapply": _builtin(
         lambda g, f, h: triangles.riordan_apply(triangles.RiordanArray(g, f), h),
         _ser, _ser, _ser,
     ),
     "prodmat": _builtin(
-        lambda g, f, n: triangles.production_matrix(triangles.RiordanArray(g, f), n),
-        _Sized(lambda n: n + 2), _Sized(lambda n: n + 2), _count,
+        lambda g, f, n: triangles.production_matrix(
+            triangles.RiordanArray(g(n + 2), f(n + 2)), n),
+        _ser_at, _ser_at, _count,
     ),
     "recurrence": _builtin(
         triangles.recurrence_from_production, _of(triangles.SquareMatrix)

@@ -88,6 +88,10 @@ def all_fixtures() -> tuple:
     return tuple(_by_id().values())
 
 
+class UnknownFixture(ValueError):
+    """A selected id that names no fixture."""
+
+
 class CaseResult(Record):
     __slots__ = ("id", "passed", "detail")
 
@@ -152,7 +156,7 @@ def run_fixtures(ids=None) -> tuple:
     if ids is not None:
         missing = [i for i in ids if i not in by_id]
         if missing:
-            raise ValueError(f"unknown fixture ids: {', '.join(missing)}")
+            raise UnknownFixture(f"unknown fixture ids: {', '.join(missing)}")
         chosen = [by_id[i] for i in ids]
     else:
         chosen = by_id.values()

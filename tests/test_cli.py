@@ -113,6 +113,10 @@ class TestCounts:
         assert "at least one row" in err and "offset 7" in err
 
 
+# a series whose J-fraction has the quadratic pattern tfwd needs
+A086810 = "sumudu(P((1-(r+1)*x)/((1-x)*(1-r*x))))"
+
+
 class TestRobustness:
     def test_deep_nesting_is_a_parse_error(self, capsys):
         expr = "(" * 3000 + "x" + ")" * 3000
@@ -184,6 +188,21 @@ class TestRobustness:
         # a call under the divisor: nothing of it is known at precision 0
         code, out, err = run(capsys, "eval", "integ(1/(sumudu(1)-1))", "--order", "1")
         assert (code, out.strip(), err) == (0, "0", "")
+
+    @pytest.mark.parametrize("expr,order,printed", [
+        ("diff(tojfrac(exp(x)))", "4", "1, 1, 1/2, 1/6"),
+        ("P(tojfrac(1+x^2*exp(x)))", "5", "1, 1, 2, 15/4, 259/36"),
+        ("triangle(tojfrac(exp(x)),6,egf)", "3",
+         "\n".join(", ".join(["1"] + [" 0"] * n) for n in range(6))),
+        ("integ(tojfrac(exp(x)))", "1", "0"),  # the empty fraction
+        (f"triangle(tfwd(tojfrac({A086810})),3,ogf)", "9", "1\n0,  -1\n0,  -1,  2"),
+        (f"integ(tfwd(tojfrac({A086810})))", "4", "0, 1, -r/2, (2r^2 - r)/3"),
+    ])
+    def test_an_expansion_is_read_at_the_precision_asked(self, capsys, expr, order, printed):
+        # diff and P read one order more, triangle its count, integ one less;
+        # never below the order, since tfwd takes the fraction whole
+        code, out, err = run(capsys, "eval", expr, "--order", order)
+        assert (code, out.strip(), err) == (0, printed, "")
 
     def test_tfwd_names_the_weight_off_the_quadratic_pattern(self, capsys):
         code, out, err = run(capsys, "eval", "tfwd(jfrac([1,2,3],[1,5]))")
@@ -319,6 +338,17 @@ class TestFixturesCommand:
         assert out.splitlines() == [
             "PASS  fubini-pipeline", "FAIL  bad  (error: matrix must be square)",
             "PASS  a019538", "2/3 fixtures passed"]
+
+    def test_a_fault_in_the_fixture_data_is_no_usage_error(self, capsys, monkeypatch):
+        # raised outside the build's evaluation: exit 1, not the usage error
+        # of an unknown id
+        from gfpipe import fixtures
+
+        bad = fixtures.all_fixtures()[0].replace(id="bad", set_r="r=2")
+        monkeypatch.setitem(fixtures._by_id(), "bad", bad)
+        code, out, err = run(capsys, "fixtures", "--run", "bad")
+        assert (code, out, err) == (
+            1, "", "error: Invalid literal for Fraction: 'r=2'\n")
 
     def test_set_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -676,6 +676,81 @@ def test_series_builtins_return_exactly_the_order_asked(name):
     assert len({p for _, p in returned}) >= 6 and len(returned) >= 20, sorted(returned)
 
 
+# one call per builtin that reads a series, {0} its series; counts above the
+# order make triangle, riordan, eriordan and prodmat read more than the order
+STANDS_FOR_CALLS = {
+    "P": "P({0})", "partialP": "partialP({0})", "reverseP": "reverseP({0})",
+    "sumudu": "sumudu({0})", "isumudu": "isumudu({0})", "invert": "invert({0},2)",
+    "binom": "binom({0})", "ibinom": "ibinom({0})", "revert": "revert({0}-1)",
+    "gfrev": "gfrev({0})", "logd": "logd({0})", "diff": "diff({0})",
+    "integ": "integ({0})", "log": "log({0})", "exp": "exp({0}-1)",
+    "powq": "powq({0},1/2)", "cosh": "cosh({0}-1)", "sinh": "sinh({0}-1)",
+    "rapply": "rapply({0},x*{0},{0})", "tojfrac": "tojfrac({0})",
+    "tosfrac": "tosfrac({0})", "triangle": "triangle({0},6,egf)",
+    "riordan": "riordan({0},x*{0},6)", "eriordan": "eriordan({0},x*{0},6)",
+    "prodmat": "prodmat({0},x*{0},3)",
+}
+# builtins that read the expansions' fraction whole, {0} the fraction
+FRACTION_CALLS = {"tfwd": "tfwd({0})", "contract": "contract({0})"}
+NO_SERIES_ARGUMENT = ("jfrac", "sfrac", "deleham", "deleham1", "tinv",
+                      "reverse", "matmul", "inv", "Bmat", "recurrence",
+                      "orthopoly", "oracle", "oracletri", "matrix", "matvec")
+STANDS_FOR_SERIES = ["exp(x)", "exp(r*x)", "1+x^2*exp(x)", "1/(1-x-r*x^2)"]
+
+
+def _evaluated(text, order):
+    try:
+        return evaluate_text(text, Env(order=order))
+    except (ExprError, *MATH_ERRORS) as err:
+        return type(err)
+
+
+def test_every_builtin_is_read_for_the_stands_for_test():
+    assert sorted([*STANDS_FOR_CALLS, *FRACTION_CALLS, *NO_SERIES_ARGUMENT]) == sorted(
+        BUILTIN_NAMES)
+
+
+def test_a_fraction_expansion_stands_for_its_series():
+    # B(tojfrac(f)) and B(tosfrac(f)) give the value of B((f)) at whatever
+    # precision B reads its argument, above the order or below it; a case
+    # where B((f)) fails, or f has no 12-term expansion, is not compared
+    compared = 0
+    for f in STANDS_FOR_SERIES:
+        for expand in ["tojfrac", "tosfrac"]:
+            if isinstance(_evaluated(f"{expand}({f})", 12), type):
+                continue
+            for call in STANDS_FOR_CALLS.values():
+                for p in range(1, 8):
+                    want = _evaluated(call.format(f"({f})"), p)
+                    if isinstance(want, type):
+                        continue
+                    text = call.format(f"{expand}({f})")
+                    assert _evaluated(text, p) == want, (text, p)
+                    compared += 1
+    assert compared >= 1000
+
+
+def test_a_fraction_builtin_reads_the_expansion_to_the_order():
+    # tfwd and contract take the fraction whole, so under a count n below
+    # the order p they get the expansion at the order: the first n rows of
+    # the p rows read at the order (a086810's series has the quadratic
+    # pattern tfwd needs)
+    compared = 0
+    for f in [*STANDS_FOR_SERIES, "sumudu(P((1-(r+1)*x)/((1-x)*(1-r*x))))"]:
+        for expand in ["tojfrac", "tosfrac"]:
+            for call in FRACTION_CALLS.values():
+                g = call.format(f"{expand}({f})")
+                for p in range(1, 8):
+                    full = _evaluated(f"triangle({g},{p},ogf)", p)
+                    if isinstance(full, type):
+                        continue
+                    for n in range(1, p):
+                        text = f"triangle({g},{n},ogf)"
+                        assert _evaluated(text, p) == Triangle(full.rows[:n]), (text, p)
+                        compared += 1
+    assert compared >= 100
+
+
 class TestFormats:
     def test_table_series(self):
         v = evaluate_text("1+r*x^2", Env(order=3))
